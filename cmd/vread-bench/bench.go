@@ -180,7 +180,7 @@ func benchTimerWheel() engineBench {
 }
 
 // benchProcSleep measures the steady-state coroutine handoff: one process
-// sleeping in a tight loop (two events and two goroutine switches per
+// sleeping in a tight loop (two events and two coroutine switches per
 // iteration). The environment and process are created once and warmed
 // before the timer starts, so the number reported is the recurring cost —
 // which must be allocation-free.

@@ -1,8 +1,9 @@
 // Package hotalloc statically enforces the simulator's zero-alloc hot paths.
 //
 // A function annotated with a //lint:hotpath line in its doc comment is a hot
-// seed: the engine's schedule/fire path, the virtio ring slot path, the trace
-// span recorders. The hot fact propagates through the program call graph —
+// seed: the engine's schedule/fire path, the Proc switch and the Signal and
+// Queue waits, cpusched's RunT and slice path, the virtio ring slot path, the
+// trace span recorders. The hot fact propagates through the program call graph —
 // direct calls, static method calls, and the per-package function-value
 // fan-out — so a helper called from a hot path is held to the same standard.
 // Inside every hot function the analyzer flags constructs that heap-allocate:
@@ -26,12 +27,14 @@
 //
 // suppresses one finding, while the same directive in a function's doc
 // comment declares the whole function a cold boundary: propagation stops
-// there and its body is not checked. Use the latter for macro-scale work
-// (cpusched.RunT) reachable from, but not meaningfully part of, a hot path.
+// there and its body is not checked. Use the latter for macro-scale work (a
+// one-off set-up helper) reachable from, but not meaningfully part of, a hot
+// path.
 //
 // Ground truth is testing.AllocsPerRun: TestScheduleZeroAlloc holds the
-// schedule-fire cycle at 0 allocs/op, and this analyzer keeps it that way at
-// build time.
+// schedule-fire cycle at 0 allocs/op, the sim and cpusched zero-alloc tests
+// hold the Proc switch, Signal, Queue and RunT paths there too, and this
+// analyzer keeps them that way at build time.
 package hotalloc
 
 import (

@@ -44,6 +44,7 @@ type Manager struct {
 	// (the chaos harness asserts Env.Pending drains to zero).
 	downgraded map[string]time.Duration
 	downgrades int64
+	sent       sim.Completions // sendFrame's transmit-complete waits
 }
 
 // NewManager creates the vRead system. It installs a daemon server on every

@@ -108,6 +108,7 @@ type CPU struct {
 	seq      uint64
 	rr       int // rotation cursor for placement tie-breaking
 	balArmed bool
+	balance  func() // balanceTick, bound once
 }
 
 type core struct {
@@ -120,6 +121,9 @@ type core struct {
 	sliceTimer sim.Timer
 	sliceStart time.Duration
 	planned    int64 // cycles planned for the current slice; -1 = reserved
+	// start and end are startSlice and sliceEnd bound once, so scheduling a
+	// slice allocates no method-value closure.
+	start, end func()
 }
 
 // ThreadState is a thread's scheduling state.
@@ -139,12 +143,14 @@ type Thread struct {
 	entity   string
 	state    ThreadState
 	vruntime time.Duration
-	seq      uint64 // runqueue FIFO tiebreak
-	core     *core  // core currently running on (nil unless StateRunning)
-	lastCore *core  // cache-affinity hint
-	work     []*workItem
-	pending  int64 // total cycles across work items
-	consumed int64 // lifetime cycles consumed
+	seq      uint64     // runqueue FIFO tiebreak
+	core     *core      // core currently running on (nil unless StateRunning)
+	lastCore *core      // cache-affinity hint
+	work     []workItem // the FIFO is work[whead:]
+	whead    int
+	pending  int64           // total cycles across work items
+	consumed int64           // lifetime cycles consumed
+	waits    sim.Completions // RunT's pooled completions
 }
 
 type workItem struct {
@@ -164,8 +170,11 @@ func New(env *sim.Env, reg *metrics.Registry, cores int, freqHz int64, cfg Confi
 		panic("cpusched: frequency must be positive")
 	}
 	c := &CPU{env: env, reg: reg, cfg: cfg.withDefaults(), freqHz: freqHz}
+	c.balance = c.balanceTick
 	for i := 0; i < cores; i++ {
-		c.cores = append(c.cores, &core{id: i, cpu: c})
+		co := &core{id: i, cpu: c}
+		co.start, co.end = co.startSlice, co.sliceEnd
+		c.cores = append(c.cores, co)
 	}
 	return c
 }
@@ -237,7 +246,7 @@ func (t *Thread) PostT(cycles int64, tag string, tr *trace.Trace, onDone func())
 		}
 		return
 	}
-	t.work = append(t.work, &workItem{remaining: cycles, tag: tag, tr: tr, onDone: onDone})
+	t.pushWork(workItem{remaining: cycles, tag: tag, tr: tr, onDone: onDone})
 	t.pending += cycles
 	if t.state == StateIdle {
 		t.cpu.wake(t)
@@ -252,18 +261,47 @@ func (t *Thread) Run(p *sim.Proc, cycles int64, tag string) {
 
 // RunT is Run with the cycles attributed to a request trace (nil is the
 // untraced fast path, identical to Run).
+//
+//lint:hotpath
 func (t *Thread) RunT(p *sim.Proc, cycles int64, tag string, tr *trace.Trace) {
 	if cycles <= 0 {
 		return
 	}
-	sig := sim.NewSignal(t.cpu.env)
-	done := false
-	t.PostT(cycles, tag, tr, func() {
-		done = true
-		sig.Broadcast()
-	})
-	for !done {
-		sig.Wait(p)
+	c := t.waits.Get()
+	t.PostT(cycles, tag, tr, c.Fire)
+	t.waits.Wait(p, c)
+}
+
+// pushWork appends it to the work FIFO, sliding the queue back to the start
+// of its array before growing it.
+func (t *Thread) pushWork(it workItem) {
+	if len(t.work) == cap(t.work) && t.whead > 0 {
+		n := copy(t.work, t.work[t.whead:])
+		clear(t.work[n:])
+		t.work = t.work[:n]
+		t.whead = 0
+	}
+	t.work = append(t.work, it) //lint:allow hotalloc(amortized into the thread's work working set)
+}
+
+// prependWork puts a scheduler item at the head of the work FIFO, in place.
+func (t *Thread) prependWork(it workItem) {
+	if t.whead == 0 {
+		t.work = append(t.work, workItem{}) //lint:allow hotalloc(amortized into the thread's work working set)
+		copy(t.work[1:], t.work)
+		t.whead = 1
+	}
+	t.whead--
+	t.work[t.whead] = it
+}
+
+// popWork drops the head of the work FIFO.
+func (t *Thread) popWork() {
+	t.work[t.whead] = workItem{}
+	t.whead++
+	if t.whead == len(t.work) {
+		t.work = t.work[:0]
+		t.whead = 0
 	}
 }
 
@@ -344,7 +382,7 @@ func (c *CPU) dispatch(co *core, t *Thread, delay time.Duration) {
 	t.core = co
 	t.lastCore = co
 	co.chargeCold(t)
-	c.env.Schedule(delay, func() { co.startSlice() })
+	c.env.Schedule(delay, co.start)
 }
 
 // chargeCold prepends the cache-refill penalty when the core's previous
@@ -352,7 +390,7 @@ func (c *CPU) dispatch(co *core, t *Thread, delay time.Duration) {
 func (co *core) chargeCold(t *Thread) {
 	c := co.cpu
 	if c.cfg.CacheColdCycles > 0 && co.last != t {
-		t.work = append([]*workItem{{remaining: c.cfg.CacheColdCycles, tag: metrics.TagOthers, sched: true}}, t.work...)
+		t.prependWork(workItem{remaining: c.cfg.CacheColdCycles, tag: metrics.TagOthers, sched: true})
 		t.pending += c.cfg.CacheColdCycles
 	}
 	co.last = t
@@ -380,6 +418,8 @@ func (co *core) timeslice() time.Duration {
 }
 
 // startSlice begins (or continues) execution of co.cur.
+//
+//lint:hotpath
 func (co *core) startSlice() {
 	t := co.cur
 	if t == nil {
@@ -403,10 +443,12 @@ func (co *core) startSlice() {
 	}
 	co.planned = sliceCycles
 	co.sliceStart = c.env.Now()
-	co.sliceTimer = c.env.Schedule(c.DurFor(sliceCycles), co.sliceEnd)
+	co.sliceTimer = c.env.Schedule(c.DurFor(sliceCycles), co.end)
 }
 
 // sliceEnd fires when the planned cycles have been consumed.
+//
+//lint:hotpath
 func (co *core) sliceEnd() {
 	t := co.cur
 	if t == nil {
@@ -499,10 +541,10 @@ func (co *core) pickNext() {
 	co.chargeCold(next)
 	// Context-switch cost charged as leading work on the incoming thread.
 	if c.cfg.CtxSwitchCycles > 0 {
-		next.work = append([]*workItem{{remaining: c.cfg.CtxSwitchCycles, tag: metrics.TagOthers, sched: true}}, next.work...)
+		next.prependWork(workItem{remaining: c.cfg.CtxSwitchCycles, tag: metrics.TagOthers, sched: true})
 		next.pending += c.cfg.CtxSwitchCycles
 	}
-	c.env.Schedule(0, co.startSlice)
+	c.env.Schedule(0, co.start)
 }
 
 // steal takes the head of the most-loaded other core's runqueue,
@@ -529,9 +571,11 @@ func (c *CPU) steal(dst *core) *Thread {
 }
 
 // consume charges cycles through the thread's FIFO work items.
+//
+//lint:hotpath
 func (c *CPU) consume(t *Thread, cycles int64) {
-	for cycles > 0 && len(t.work) > 0 {
-		it := t.work[0]
+	for cycles > 0 && t.whead < len(t.work) {
+		it := &t.work[t.whead]
 		use := it.remaining
 		if use > cycles {
 			use = cycles
@@ -546,9 +590,10 @@ func (c *CPU) consume(t *Thread, cycles int64) {
 			c.reg.AddSchedCycles(t.entity, use)
 		}
 		if it.remaining == 0 {
-			t.work = t.work[1:]
-			if it.onDone != nil {
-				c.env.Schedule(0, it.onDone)
+			onDone := it.onDone
+			t.popWork()
+			if onDone != nil {
+				c.env.Schedule(0, onDone)
 			}
 		}
 	}
@@ -580,7 +625,7 @@ func (c *CPU) armBalancer() {
 		return
 	}
 	c.balArmed = true
-	c.env.Schedule(c.cfg.BalanceInterval, c.balanceTick)
+	c.env.Schedule(c.cfg.BalanceInterval, c.balance)
 }
 
 func (c *CPU) balanceTick() {

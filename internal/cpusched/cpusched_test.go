@@ -358,3 +358,37 @@ func TestConservationOfCyclesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunTZeroAlloc: once each Thread's completion pool and work FIFO have
+// grown to the number of concurrent callers, RunT — post, slices, context
+// switches, cache-cold refills, preemption and the two-hop wake-up — makes
+// no heap allocation.
+func TestRunTZeroAlloc(t *testing.T) {
+	env, reg, cpu := newCPU(t, 1, ghz)
+	threads := []*Thread{cpu.NewThread("a", "vm"), cpu.NewThread("b", "io")}
+	for i := 0; i < 3; i++ {
+		th := threads[i%2]
+		cycles := int64(20_000 + 7_000*i)
+		env.Go(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
+			for {
+				th.RunT(p, cycles, "work", nil)
+			}
+		})
+	}
+	step := func() {
+		if err := env.RunFor(100 * time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		step()
+	}
+	before := reg.Cycles("vm", "work")
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("RunT allocates %v objects per 100µs step at steady state, want 0", allocs)
+	}
+	if reg.Cycles("vm", "work") == before {
+		t.Fatal("no work was charged while measuring")
+	}
+	env.Close()
+}

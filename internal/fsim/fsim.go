@@ -74,20 +74,23 @@ func (fs *FS) Name() string { return fs.name }
 // FileCount returns the number of regular files.
 func (fs *FS) FileCount() int { return fs.files }
 
-func splitPath(path string) []string {
-	var parts []string
-	for _, p := range strings.Split(path, "/") {
-		if p != "" {
-			parts = append(parts, p)
+// nextPart returns the first non-empty component of path and the rest of
+// the path after it; part is "" once path holds no more components. Walking
+// a path this way allocates nothing.
+func nextPart(path string) (part, rest string) {
+	for path != "" {
+		part, path, _ = strings.Cut(path, "/")
+		if part != "" {
+			return part, path
 		}
 	}
-	return parts
+	return "", ""
 }
 
 // lookup resolves a path to its inode.
 func (fs *FS) lookup(path string) (*Inode, error) {
 	cur := fs.root
-	for _, part := range splitPath(path) {
+	for part, rest := nextPart(path); part != ""; part, rest = nextPart(rest) {
 		if !cur.isDir {
 			return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
 		}
@@ -102,21 +105,21 @@ func (fs *FS) lookup(path string) (*Inode, error) {
 
 // lookupParent resolves the directory containing path and the final name.
 func (fs *FS) lookupParent(path string) (*Inode, string, error) {
-	parts := splitPath(path)
-	if len(parts) == 0 {
+	name, tail := nextPart(path)
+	if name == "" {
 		return nil, "", fmt.Errorf("%w: cannot use root here", ErrIsDir)
 	}
-	dirParts, name := parts[:len(parts)-1], parts[len(parts)-1]
 	cur := fs.root
-	for _, part := range dirParts {
-		next, ok := cur.entries[part]
+	// name is a directory component for as long as another one follows it.
+	for after, rest := nextPart(tail); after != ""; after, rest = nextPart(rest) {
+		next, ok := cur.entries[name]
 		if !ok {
 			return nil, "", fmt.Errorf("%w: %s", ErrNotExist, path)
 		}
 		if !next.isDir {
 			return nil, "", fmt.Errorf("%w: %s", ErrNotDir, path)
 		}
-		cur = next
+		cur, name = next, after
 	}
 	return cur, name, nil
 }
@@ -124,7 +127,7 @@ func (fs *FS) lookupParent(path string) (*Inode, string, error) {
 // MkdirAll creates the directory path and all parents.
 func (fs *FS) MkdirAll(path string) error {
 	cur := fs.root
-	for _, part := range splitPath(path) {
+	for part, rest := nextPart(path); part != ""; part, rest = nextPart(rest) {
 		next, ok := cur.entries[part]
 		if !ok {
 			fs.nextIno++
@@ -374,6 +377,17 @@ func (m *HostMount) Entries() int { return len(m.dentries) }
 
 // canonical normalizes a path to the /a/b/c form Walk produces.
 func canonical(path string) string {
-	parts := splitPath(path)
-	return "/" + strings.Join(parts, "/")
+	if path != "" && path[0] == '/' && !strings.Contains(path, "//") &&
+		(len(path) == 1 || path[len(path)-1] != '/') {
+		return path // already canonical: no copy
+	}
+	var b strings.Builder
+	b.WriteByte('/')
+	for part, rest := nextPart(path); part != ""; part, rest = nextPart(rest) {
+		if b.Len() > 1 {
+			b.WriteByte('/')
+		}
+		b.WriteString(part)
+	}
+	return b.String()
 }

@@ -290,3 +290,64 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPathForms: lookups, the host mount's dentry keys and the parent walk
+// treat repeated, leading and trailing slashes as the one canonical path.
+func TestPathForms(t *testing.T) {
+	fs := newHadoopFS(t)
+	if err := fs.WriteFile("hadoop//dfs/data/blk_7/", data.Bytes("x")); err != nil {
+		t.Fatal(err)
+	}
+	m := MountRO(fs)
+	for _, path := range []string{"/hadoop/dfs/data/blk_7", "hadoop/dfs/data/blk_7", "//hadoop/dfs//data/blk_7/"} {
+		if _, err := fs.Stat(path); err != nil {
+			t.Errorf("Stat(%q): %v", path, err)
+		}
+		if _, ok := m.Lookup(path); !ok {
+			t.Errorf("mount Lookup(%q) missed", path)
+		}
+	}
+	for path, want := range map[string]string{
+		"/":            "/",
+		"":             "/",
+		"//":           "/",
+		"/a/b":         "/a/b",
+		"a/b/":         "/a/b",
+		"//a///b//c//": "/a/b/c",
+	} {
+		if got := canonical(path); got != want {
+			t.Errorf("canonical(%q) = %q, want %q", path, got, want)
+		}
+	}
+	if _, err := fs.Create("/hadoop/dfs/data/blk_7/under"); !errors.Is(err, ErrNotDir) {
+		t.Fatalf("create under a file: %v, want ErrNotDir", err)
+	}
+	if _, err := fs.Create("/"); !errors.Is(err, ErrIsDir) {
+		t.Fatalf("create root: %v, want ErrIsDir", err)
+	}
+}
+
+// TestPathWalkZeroAlloc: resolving a path and its dentry key allocates
+// nothing.
+func TestPathWalkZeroAlloc(t *testing.T) {
+	fs := newHadoopFS(t)
+	const path = "/hadoop/dfs/data/blk_9"
+	if err := fs.WriteFile(path, data.Bytes("x")); err != nil {
+		t.Fatal(err)
+	}
+	m := MountRO(fs)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := fs.lookup(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := fs.lookupParent(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.Lookup(path); !ok {
+			t.Fatal("dentry missing")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("path walk allocates %v objects, want 0", allocs)
+	}
+}

@@ -61,7 +61,7 @@ func (r *Registry) AddCycles(entity, tag string, n int64) {
 	}
 	m := r.cycles[entity]
 	if m == nil {
-		m = make(map[string]int64)
+		m = make(map[string]int64) //lint:allow hotalloc(one tag map per entity, made on its first charge)
 		r.cycles[entity] = m
 	}
 	m[tag] += n

@@ -70,3 +70,24 @@ func BenchmarkTimerWheel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProcSwitch measures one bare resume/park round trip: the engine
+// dispatches a parked process, which parks again at once. No event is
+// scheduled, so the row is the coroutine switch alone.
+func BenchmarkProcSwitch(b *testing.B) {
+	env := NewEnv(1)
+	defer env.Close()
+	p := env.Go("switcher", func(p *Proc) {
+		for {
+			p.park()
+		}
+	})
+	if err := env.Run(); err != nil { // start it; it parks at once
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		env.dispatch(p)
+	}
+}

@@ -5,8 +5,12 @@ import "time"
 // Queue is a bounded FIFO of T with blocking Put and Get, the workhorse for
 // rings, socket buffers, and device queues. A capacity of 0 means unbounded.
 type Queue[T any] struct {
-	env      *Env
-	items    []T
+	env *Env
+	// buf is a ring: the n queued items start at buf[head] and wrap around.
+	// It grows by doubling (up to capacity) only when full.
+	buf      []T
+	head     int
+	n        int
 	capacity int
 	notEmpty *Signal
 	notFull  *Signal
@@ -24,7 +28,7 @@ func NewQueue[T any](env *Env, capacity int) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.n }
 
 // Cap returns the configured capacity (0 = unbounded).
 func (q *Queue[T]) Cap() int { return q.capacity }
@@ -47,13 +51,13 @@ func (q *Queue[T]) Close() {
 //
 //lint:hotpath
 func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.capacity > 0 && len(q.items) >= q.capacity && !q.closed {
+	for q.capacity > 0 && q.n >= q.capacity && !q.closed {
 		q.notFull.Wait(p)
 	}
 	if q.closed {
 		panic("sim: Put on closed Queue")
 	}
-	q.items = append(q.items, v) //lint:allow hotalloc(growth amortized into the queue's bounded working set)
+	q.push(v)
 	q.notEmpty.Signal()
 }
 
@@ -62,10 +66,10 @@ func (q *Queue[T]) TryPut(v T) bool {
 	if q.closed {
 		panic("sim: Put on closed Queue")
 	}
-	if q.capacity > 0 && len(q.items) >= q.capacity {
+	if q.capacity > 0 && q.n >= q.capacity {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.push(v)
 	q.notEmpty.Signal()
 	return true
 }
@@ -75,10 +79,10 @@ func (q *Queue[T]) TryPut(v T) bool {
 //
 //lint:hotpath
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	for len(q.items) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		q.notEmpty.Wait(p)
 	}
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return v, false
 	}
 	return q.pop(), true
@@ -87,13 +91,13 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 // GetTimeout is Get with a deadline; ok is false on timeout or closed-empty.
 func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool) {
 	deadline := q.env.Now() + d
-	for len(q.items) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		remaining := deadline - q.env.Now()
 		if remaining <= 0 || !q.notEmpty.WaitTimeout(p, remaining) {
 			return v, false
 		}
 	}
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return v, false
 	}
 	return q.pop(), true
@@ -101,7 +105,7 @@ func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool) {
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return v, false
 	}
 	return q.pop(), true
@@ -109,17 +113,50 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 
 // Peek returns the oldest item without removing it.
 func (q *Queue[T]) Peek() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return v, false
 	}
-	return q.items[0], true
+	return q.buf[q.head], true
+}
+
+// push appends v at the tail of the ring, growing it when full.
+func (q *Queue[T]) push(v T) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = v
+	q.n++
+}
+
+// grow doubles the ring (capped at capacity), unwrapping it to start at 0.
+func (q *Queue[T]) grow() {
+	size := 2 * len(q.buf)
+	if size < 4 {
+		size = 4
+	}
+	if q.capacity > 0 && size > q.capacity {
+		size = q.capacity
+	}
+	buf := make([]T, size) //lint:allow hotalloc(ring growth amortized into the queue's bounded working set)
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf = buf
+	q.head = 0
 }
 
 func (q *Queue[T]) pop() T {
-	v := q.items[0]
+	v := q.buf[q.head]
 	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
 	q.notFull.Signal()
 	return v
 }

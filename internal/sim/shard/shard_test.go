@@ -228,3 +228,38 @@ func TestShardEmptyAndTrivial(t *testing.T) {
 		t.Fatalf("clock = %v after RunUntil(1ms) with no events", got)
 	}
 }
+
+// TestShardProcMovesBetweenWorkers: a Proc created on the test goroutine is
+// resumed by a different worker goroutine in each run, as its LP moves
+// between shards. Its coroutine must carry on where it parked; under -race
+// this also checks the happens-before edges of the coroutine switch.
+func TestShardProcMovesBetweenWorkers(t *testing.T) {
+	c := New(Config{Shards: 2, Lookahead: testLookahead})
+	mover := c.AddLP(sim.NewEnv(1))
+	other := c.AddLP(sim.NewEnv(2))
+	other.Env().Schedule(time.Hour, func() {})
+	var wakes []time.Duration
+	mover.Env().Go("mover", func(p *sim.Proc) {
+		for {
+			p.Sleep(3 * time.Microsecond)
+			wakes = append(wakes, p.Env().Now())
+		}
+	})
+	const runs = 6
+	for i := 1; i <= runs; i++ {
+		mover.SetShard(i % 2)
+		other.SetShard((i + 1) % 2)
+		if err := c.RunUntil(time.Duration(i) * 30 * time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(wakes) != runs*10 {
+		t.Fatalf("%d wake-ups over %d runs, want %d", len(wakes), runs, runs*10)
+	}
+	for i, at := range wakes {
+		if want := time.Duration(i+1) * 3 * time.Microsecond; at != want {
+			t.Fatalf("wake-up %d at %v, want %v", i, at, want)
+		}
+	}
+	mover.Env().Close()
+}

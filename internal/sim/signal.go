@@ -6,47 +6,83 @@ import "time"
 // (processes or event callbacks) Signals or Broadcasts it. There is no
 // memory: a Broadcast with no waiters is a no-op, exactly like a condition
 // variable. Use Gate for level-triggered conditions.
+//
+// The zero Signal is ready to use: wake-ups are scheduled on the waiting
+// process's own Env.
 type Signal struct {
-	env     *Env
-	waiters []*waiter
+	// waiters[head:] are the queued waits in arrival order. An entry whose
+	// seq no longer matches its Proc's waitSeq is stale (the wait ended by
+	// timeout) and is skipped.
+	waiters []waiter
+	head    int
 }
 
 type waiter struct {
-	p        *Proc
-	fired    bool
-	timedOut bool
+	p   *Proc
+	seq uint64
 }
 
-// NewSignal returns a Signal bound to env.
-func NewSignal(env *Env) *Signal { return &Signal{env: env} }
+func (w waiter) live() bool { return w.seq == w.p.waitSeq }
+
+// NewSignal returns a Signal for the processes of env.
+func NewSignal(env *Env) *Signal { return &Signal{} }
 
 // Wait suspends p until the next Signal or Broadcast.
 //
 //lint:hotpath
 func (s *Signal) Wait(p *Proc) {
 	p.checkContext()
-	w := &waiter{p: p}               //lint:allow hotalloc(pooling is unsafe: a timed-out waiter may linger in s.waiters past reuse)
-	s.waiters = append(s.waiters, w) //lint:allow hotalloc(amortized into the signal's waiter working set)
+	s.enqueue(p)
 	p.park()
 }
 
 // WaitTimeout suspends p until the next Signal/Broadcast or until d elapses.
 // It reports false on timeout.
+//
+//lint:hotpath
 func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 	p.checkContext()
-	w := &waiter{p: p}
-	s.waiters = append(s.waiters, w)
-	timer := s.env.Schedule(d, func() {
-		if w.fired {
-			return
-		}
-		w.fired = true
-		w.timedOut = true
-		s.env.dispatch(p)
-	})
+	s.enqueue(p)
+	p.armedSeq = p.waitSeq
+	p.timedOut = false
+	timer := p.env.Schedule(d, p.timeout)
 	p.park()
 	timer.Cancel()
-	return !w.timedOut
+	return !p.timedOut
+}
+
+// enqueue appends p's current wait. When the backing array is full and at
+// least half of it is consumed or stale, it compacts in place instead of
+// growing, so timed-out waits cannot grow the array without bound.
+func (s *Signal) enqueue(p *Proc) {
+	if n := len(s.waiters); n > 0 && n == cap(s.waiters) && 2*(s.head+s.stale()) >= n {
+		s.compact()
+	}
+	s.waiters = append(s.waiters, waiter{p: p, seq: p.waitSeq}) //lint:allow hotalloc(amortized: compaction keeps capacity proportional to the live waiters)
+}
+
+// stale counts the queued entries whose wait already ended.
+func (s *Signal) stale() int {
+	n := 0
+	for _, w := range s.waiters[s.head:] {
+		if !w.live() {
+			n++
+		}
+	}
+	return n
+}
+
+// compact moves the live entries to the front, preserving their order.
+func (s *Signal) compact() {
+	kept := s.waiters[:0]
+	for _, w := range s.waiters[s.head:] {
+		if w.live() {
+			kept = append(kept, w) //lint:allow hotalloc(filters in place: capacity bounded by the source slice, never grows)
+		}
+	}
+	clear(s.waiters[len(kept):])
+	s.waiters = kept
+	s.head = 0
 }
 
 // Signal wakes exactly one waiting process (the longest-waiting one). It
@@ -55,14 +91,19 @@ func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 //
 //lint:hotpath
 func (s *Signal) Signal() bool {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if w.fired {
+	for s.head < len(s.waiters) {
+		w := s.waiters[s.head]
+		s.waiters[s.head] = waiter{}
+		s.head++
+		if s.head == len(s.waiters) {
+			s.waiters = s.waiters[:0]
+			s.head = 0
+		}
+		if !w.live() {
 			continue
 		}
-		w.fired = true
-		s.env.Schedule(0, w.p.wake)
+		w.p.waitSeq++
+		w.p.env.Schedule(0, w.p.wake)
 		return true
 	}
 	return false
@@ -72,26 +113,22 @@ func (s *Signal) Signal() bool {
 //
 //lint:hotpath
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		if w.fired {
+	ws := s.waiters[s.head:]
+	s.waiters = s.waiters[:0]
+	s.head = 0
+	for i, w := range ws {
+		ws[i] = waiter{}
+		if !w.live() {
 			continue
 		}
-		w.fired = true
-		s.env.Schedule(0, w.p.wake)
+		w.p.waitSeq++
+		w.p.env.Schedule(0, w.p.wake)
 	}
 }
 
 // Waiters returns the number of processes currently waiting.
 func (s *Signal) Waiters() int {
-	n := 0
-	for _, w := range s.waiters {
-		if !w.fired {
-			n++
-		}
-	}
-	return n
+	return len(s.waiters) - s.head - s.stale()
 }
 
 // Gate is a level-triggered condition: Open lets all present and future

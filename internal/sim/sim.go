@@ -5,11 +5,16 @@
 //
 //   - a virtual clock driven by a binary-heap event queue (ties broken by a
 //     monotonically increasing sequence number, so runs are bit-reproducible);
-//   - coroutine-style processes: each Proc is a goroutine, but at most one
-//     goroutine — either the engine loop or exactly one Proc — executes at a
-//     time, with explicit channel handoff. Processes therefore read like
-//     straight-line imperative code (the HDFS datanode loop looks like a
-//     datanode loop) while remaining fully deterministic.
+//   - coroutine processes: each Proc is an iter.Pull coroutine. The engine
+//     resumes it with next, it parks with yield, and control moves between
+//     the two by a direct runtime.coroswitch, with no channel or scheduler
+//     hop. At most one of them — the engine loop or exactly one Proc — runs
+//     at a time. Processes therefore read like straight-line imperative code
+//     (the HDFS datanode loop looks like a datanode loop) while remaining
+//     fully deterministic.
+//
+// The Proc switch and the Signal, Queue and Sleep paths allocate nothing at
+// steady state (asserted by the AllocsPerRun tests).
 //
 // Virtual time is a time.Duration measured from the start of the run. No
 // component of the simulator may consult the wall clock.
@@ -37,11 +42,6 @@ type Env struct {
 	procs   map[*Proc]struct{}
 	current *Proc
 
-	// handback is signalled by a Proc when it parks (or exits), returning
-	// control to the engine goroutine. A single channel suffices because at
-	// most one Proc is runnable at a time.
-	handback chan struct{}
-
 	stopped  bool
 	procErr  *procPanic
 	idleHook func() // invoked when the queue drains during Run*, may add events
@@ -52,9 +52,8 @@ type Env struct {
 // workload generators, never by the engine itself).
 func NewEnv(seed int64) *Env {
 	return &Env{
-		rng:      rand.New(rand.NewSource(seed)),
-		procs:    make(map[*Proc]struct{}),
-		handback: make(chan struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
+		procs: make(map[*Proc]struct{}),
 	}
 }
 
@@ -217,19 +216,23 @@ func (e *Env) compact() {
 	e.ncancel = 0
 }
 
-// Close aborts every live process so their goroutines exit. The environment
+// Close aborts every live process so their coroutines exit. The environment
 // must not be used afterwards. It is safe to call Close on an environment
 // whose processes have all finished.
 func (e *Env) Close() {
 	for p := range e.procs {
 		if !p.started {
-			// Goroutine is parked on its very first resume; abort it the
-			// same way.
-			p.started = true
+			// The coroutine never ran: stop releases it without entering
+			// the process function.
+			delete(e.procs, p)
+			p.done = true
+			p.stop()
+			continue
 		}
+		// A parked process sees yield return false, unwinds with
+		// abortSentinel and finishes before stop returns.
 		e.current = p
-		p.resume <- resumeMsg{abort: true}
-		<-e.handback
+		p.stop()
 		e.current = nil
 	}
 	e.procErr = nil
@@ -312,8 +315,6 @@ func (t *Timer) When() time.Duration {
 // ---------------------------------------------------------------------------
 // Processes.
 
-type resumeMsg struct{ abort bool }
-
 type procPanic struct {
 	proc  string
 	value interface{}
@@ -326,12 +327,16 @@ func (p *procPanic) Error() string {
 type abortSentinel struct{}
 
 // Proc is a simulated process. All Proc methods that can block must be called
-// only from the process's own goroutine (that is, from within the function
-// passed to Go).
+// only from the process itself (that is, from within the function passed to
+// Go).
 type Proc struct {
-	env     *Env
-	name    string
-	resume  chan resumeMsg
+	env  *Env
+	name string
+	// next resumes the coroutine until it parks or finishes, yield parks it
+	// (reporting false once stop has been called), and stop aborts it.
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool
+	stop    func()
 	started bool
 	done    bool
 	doneSig *Signal
@@ -339,6 +344,16 @@ type Proc struct {
 	// paths (Sleep, Signal, Broadcast) schedule it without allocating a
 	// fresh closure per suspension.
 	wake func()
+
+	// waitSeq identifies the process's current Signal wait. A waiter entry
+	// is live while its seq equals waitSeq; a wake-up or a timeout bumps
+	// waitSeq, which turns every other entry for this wait stale.
+	waitSeq uint64
+	// timeout fires a WaitTimeout deadline; bound once like wake. armedSeq
+	// is the wait it belongs to and timedOut records that it fired.
+	timeout  func()
+	armedSeq uint64
+	timedOut bool
 }
 
 // Go creates a process and schedules it to start at the current virtual time
@@ -349,11 +364,22 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 
 // GoAfter creates a process that starts after the given virtual delay.
 func (e *Env) GoAfter(after time.Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan resumeMsg)}
+	p := &Proc{env: e, name: name}
 	p.wake = func() { e.dispatch(p) }
+	p.timeout = func() {
+		if p.waitSeq != p.armedSeq {
+			return // woken by a Signal first; the wait is over
+		}
+		p.waitSeq++
+		p.timedOut = true
+		e.dispatch(p)
+	}
 	p.doneSig = NewSignal(e)
 	e.procs[p] = struct{}{}
-	go p.run(fn)
+	p.next, p.stop = pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(fn)
+	})
 	e.Schedule(after, func() {
 		p.started = true
 		e.dispatch(p)
@@ -361,47 +387,44 @@ func (e *Env) GoAfter(after time.Duration, name string, fn func(p *Proc)) *Proc 
 	return p
 }
 
+// run is the coroutine body. It never lets a panic escape: a process panic
+// becomes Run's error and an abort finishes the process quietly, so next
+// always returns normally.
 func (p *Proc) run(fn func(p *Proc)) {
 	defer func() {
 		r := recover()
+		delete(p.env.procs, p)
+		p.done = true
 		if _, ok := r.(abortSentinel); ok {
-			delete(p.env.procs, p)
-			p.done = true
-			p.env.handback <- struct{}{}
 			return
 		}
 		if r != nil {
 			p.env.procErr = &procPanic{proc: p.name, value: r}
 		}
-		delete(p.env.procs, p)
-		p.done = true
 		p.doneSig.Broadcast()
-		p.env.handback <- struct{}{}
 	}()
-	// Park until the start event dispatches us.
-	if msg := <-p.resume; msg.abort {
-		panic(abortSentinel{})
-	}
 	fn(p)
 }
 
 // dispatch transfers control to p until it parks or finishes. Must run on the
-// engine goroutine (inside an event callback).
+// engine side (inside an event callback).
+//
+//lint:hotpath
 func (e *Env) dispatch(p *Proc) {
 	if p.done {
 		return
 	}
 	prev := e.current
 	e.current = p
-	p.resume <- resumeMsg{}
-	<-e.handback
+	p.next()
 	e.current = prev
 }
 
 // park yields control back to the engine until some event dispatches p again.
+//
+//lint:hotpath
 func (p *Proc) park() {
-	p.env.handback <- struct{}{}
-	if msg := <-p.resume; msg.abort {
+	if !p.yield(struct{}{}) {
 		panic(abortSentinel{})
 	}
 }
@@ -438,7 +461,7 @@ func (p *Proc) Join(other *Proc) {
 }
 
 // checkContext panics if a blocking method is invoked from outside the
-// process goroutine — a programming error that would otherwise deadlock.
+// process itself — a programming error that would otherwise deadlock.
 func (p *Proc) checkContext() {
 	if p.env.current != p {
 		panic(fmt.Sprintf("sim: blocking call on process %q from outside its goroutine", p.name))

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -201,23 +202,42 @@ func TestStop(t *testing.T) {
 	env.Close()
 }
 
+// TestCloseAbortsParkedProcs: parked, never-started and panicked Procs
+// all give back their coroutine goroutine by the time Close returns, and
+// the parked ones unwind through their defers.
 func TestCloseAbortsParkedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
 	env := NewEnv(1)
 	sig := NewSignal(env)
-	for i := 0; i < 4; i++ {
-		env.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			sig.Wait(p) // never signalled
+	deferred := 0
+	for i := 0; i < 3; i++ {
+		env.Go(fmt.Sprintf("parked%d", i), func(p *Proc) {
+			defer func() { deferred++ }()
+			sig.Wait(p)
+		})
+		env.GoAfter(time.Hour, fmt.Sprintf("unstarted%d", i), func(p *Proc) {
+			t.Error("a never-started Proc ran")
 		})
 	}
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	env.GoAfter(time.Millisecond, "boom", func(p *Proc) { panic("boom") })
+	if n := runtime.NumGoroutine(); n <= base {
+		t.Fatalf("%d goroutines with 7 Procs, baseline %d: coroutines not counted", n, base)
 	}
-	if env.Live() != 4 {
-		t.Fatalf("Live() = %d, want 4", env.Live())
+	if err := env.RunFor(time.Second); err == nil {
+		t.Fatal("the panicking Proc did not stop Run")
+	}
+	if env.Live() != 6 {
+		t.Fatalf("Live() = %d, want 6 (3 parked, 3 unstarted)", env.Live())
 	}
 	env.Close()
 	if env.Live() != 0 {
 		t.Fatalf("Live() = %d after Close", env.Live())
+	}
+	if deferred != 3 {
+		t.Fatalf("%d parked Procs ran their defers on Close, want 3", deferred)
+	}
+	if n := settleGoroutines(base); n != base {
+		t.Fatalf("%d goroutines after Close, want the baseline %d", n, base)
 	}
 }
 

@@ -63,6 +63,7 @@ type Disk struct {
 	busyUntil time.Duration
 	stats     DiskStats
 	faults    *faults.Plan
+	waits     sim.Completions // the blocking calls' pooled completions
 }
 
 // NewDisk creates a device.
@@ -97,13 +98,17 @@ func (d *Disk) ReadAsyncT(tr *trace.Trace, n int64, onDone func()) {
 		lat += extra
 		tr.Event(trace.LayerDisk, "fault:disk-slow", 0)
 	}
-	sp := tr.Begin(trace.LayerDisk, "read")
-	d.submit(n, lat, d.cfg.ReadBandwidth, func() {
-		tr.EndSpan(sp, n)
-		if onDone != nil {
-			onDone()
-		}
-	})
+	if tr == nil { // untraced: no span, no wrapping closure
+		d.submit(n, lat, d.cfg.ReadBandwidth, onDone)
+	} else {
+		sp := tr.Begin(trace.LayerDisk, "read")
+		d.submit(n, lat, d.cfg.ReadBandwidth, func() {
+			tr.EndSpan(sp, n)
+			if onDone != nil {
+				onDone()
+			}
+		})
+	}
 	d.stats.Reads++
 	d.stats.BytesRead += n
 }
@@ -116,37 +121,27 @@ func (d *Disk) WriteAsync(n int64, onDone func()) {
 }
 
 // Read blocks p for the duration of a read of n bytes.
-func (d *Disk) Read(p *sim.Proc, n int64) {
-	d.wait(p, func(onDone func()) { d.ReadAsync(n, onDone) })
-}
+func (d *Disk) Read(p *sim.Proc, n int64) { d.ReadT(p, nil, n) }
 
 // ReadT is Read with a "disk read" span on the request trace.
 func (d *Disk) ReadT(p *sim.Proc, tr *trace.Trace, n int64) {
-	d.wait(p, func(onDone func()) { d.ReadAsyncT(tr, n, onDone) })
+	c := d.waits.Get()
+	d.ReadAsyncT(tr, n, c.Fire)
+	d.waits.Wait(p, c)
 }
 
 // Write blocks p for the duration of a write of n bytes.
 func (d *Disk) Write(p *sim.Proc, n int64) {
-	d.wait(p, func(onDone func()) { d.WriteAsync(n, onDone) })
+	c := d.waits.Get()
+	d.WriteAsync(n, c.Fire)
+	d.waits.Wait(p, c)
 }
 
 // WriteT is Write with a "disk write" span on the request trace.
 func (d *Disk) WriteT(p *sim.Proc, tr *trace.Trace, n int64) {
 	sp := tr.Begin(trace.LayerDisk, "write")
-	d.wait(p, func(onDone func()) { d.WriteAsync(n, onDone) })
+	d.Write(p, n)
 	tr.EndSpan(sp, n)
-}
-
-func (d *Disk) wait(p *sim.Proc, submit func(func())) {
-	sig := sim.NewSignal(d.env)
-	done := false
-	submit(func() {
-		done = true
-		sig.Broadcast()
-	})
-	for !done {
-		sig.Wait(p)
-	}
 }
 
 func (d *Disk) submit(n int64, lat time.Duration, bw int64, onDone func()) {
@@ -160,11 +155,10 @@ func (d *Disk) submit(n int64, lat time.Duration, bw int64, onDone func()) {
 	transfer := time.Duration(float64(n) / float64(bw) * float64(time.Second))
 	finish := start + lat + transfer
 	d.busyUntil = finish
-	d.env.Schedule(finish-d.env.Now(), func() {
-		if onDone != nil {
-			onDone()
-		}
-	})
+	if onDone == nil {
+		onDone = func() {}
+	}
+	d.env.Schedule(finish-d.env.Now(), onDone)
 }
 
 // ---------------------------------------------------------------------------

@@ -232,3 +232,36 @@ func TestDiskNilPlanUnchanged(t *testing.T) {
 		t.Fatalf("read finished at %v, want bare latency", done)
 	}
 }
+
+// TestDiskBlockingZeroAlloc: untraced blocking reads and writes from two
+// processes allocate nothing once the Disk's completion pool holds one
+// completion per waiter.
+func TestDiskBlockingZeroAlloc(t *testing.T) {
+	env := sim.NewEnv(1)
+	d := NewDisk(env, "ssd", DiskConfig{})
+	env.Go("reader", func(p *sim.Proc) {
+		for {
+			d.Read(p, 4096)
+		}
+	})
+	env.Go("writer", func(p *sim.Proc) {
+		for {
+			d.Write(p, 4096)
+		}
+	})
+	step := func() {
+		if err := env.RunFor(100 * time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("blocking disk I/O allocates %v objects per step, want 0", allocs)
+	}
+	if s := d.Stats(); s.Reads == 0 || s.Writes == 0 {
+		t.Fatalf("stats = %+v: a path was not exercised", s)
+	}
+	env.Close()
+}

@@ -135,6 +135,7 @@ type NetDev struct {
 	sriovSig      *sim.Signal
 	sriovDone     func()             // prebound descriptor-retire hook (no per-frame closure)
 	rxFn          func(netsim.Frame) // prebound injectRx method value (no per-frame binding)
+	sent          sim.Completions    // transmit-complete waits of vhostLoop
 }
 
 // NewNetDev creates the device. vcpu is the VM's vCPU thread (guest IRQ
@@ -264,15 +265,9 @@ func (d *NetDev) vhostLoop(p *sim.Proc) {
 		}
 		// Remote: pace into the physical NIC; wait for transmit-complete so
 		// the vhost thread applies backpressure like a bounded device queue.
-		sent := sim.NewSignal(d.env)
-		done := false
-		d.nic.SendToVM(fr, func() {
-			done = true
-			sent.Broadcast()
-		})
-		for !done {
-			sent.Wait(p)
-		}
+		c := d.sent.Get()
+		d.nic.SendToVM(fr, c.Fire)
+		d.sent.Wait(p, c)
 	}
 }
 
