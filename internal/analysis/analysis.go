@@ -258,6 +258,13 @@ func (s *suppressions) suppressed(d Diagnostic) bool {
 	return true
 }
 
+// keep marks the analyzer's directive written on pos's line as used.
+func (s *suppressions) keep(analyzer string, pos token.Position) {
+	if d := s.byKey[analyzer][pos.Filename][pos.Line]; d != nil && d.pos.Line == pos.Line {
+		d.used = true
+	}
+}
+
 // unused returns a diagnostic for every directive naming one of the ran
 // analyzers that suppressed nothing — a stale //lint:allow whose finding has
 // since been fixed (or whose analyzer name is misspelled). Only meaningful

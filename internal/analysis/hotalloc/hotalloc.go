@@ -28,8 +28,10 @@
 // suppresses one finding, while the same directive in a function's doc
 // comment declares the whole function a cold boundary: propagation stops
 // there and its body is not checked. Use the latter for macro-scale work (a
-// one-off set-up helper) reachable from, but not meaningfully part of, a hot
-// path.
+// one-off set-up helper) or an error tail reachable from, but not
+// meaningfully part of, a hot path. A boundary that stops propagation counts
+// as a used suppression under -unused-allow; one no hot path reaches is
+// reported stale like any other.
 //
 // Ground truth is testing.AllocsPerRun: TestScheduleZeroAlloc holds the
 // schedule-fire cycle at 0 allocs/op, the sim and cpusched zero-alloc tests
@@ -58,7 +60,9 @@ func run(pass *analysis.ProgramPass) error {
 	g := pass.Graph
 
 	var seeds []*analysis.FuncNode
-	boundary := map[*analysis.FuncNode]bool{}
+	// boundary maps each cold boundary to its directive, so a boundary that
+	// stops propagation counts as a used //lint:allow.
+	boundary := map[*analysis.FuncNode]token.Pos{}
 	for _, n := range g.Nodes {
 		if n.Decl == nil || n.Decl.Doc == nil {
 			continue
@@ -69,9 +73,16 @@ func run(pass *analysis.ProgramPass) error {
 			case strings.HasPrefix(t, "lint:hotpath"):
 				seeds = append(seeds, n)
 			case strings.HasPrefix(t, "lint:allow hotalloc("):
-				boundary[n] = true
+				boundary[n] = c.Pos()
 			}
 		}
+	}
+	stops := func(n *analysis.FuncNode) bool {
+		pos, ok := boundary[n]
+		if ok {
+			pass.KeepAllow(pos)
+		}
+		return ok
 	}
 
 	// BFS from the seeds, never entering a cold boundary. g.Nodes and each
@@ -80,7 +91,7 @@ func run(pass *analysis.ProgramPass) error {
 	parent := map[*analysis.FuncNode]*analysis.FuncNode{}
 	var queue []*analysis.FuncNode
 	for _, s := range seeds {
-		if boundary[s] {
+		if stops(s) {
 			continue
 		}
 		if _, ok := parent[s]; !ok {
@@ -92,7 +103,7 @@ func run(pass *analysis.ProgramPass) error {
 		n := queue[0]
 		queue = queue[1:]
 		for _, c := range g.Callees(n) {
-			if boundary[c] {
+			if stops(c) {
 				continue
 			}
 			if _, ok := parent[c]; !ok {

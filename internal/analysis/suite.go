@@ -64,6 +64,7 @@ type ProgramPass struct {
 	Graph    *CallGraph
 
 	diags *[]Diagnostic
+	kept  *[]token.Pos
 }
 
 // Reportf records a finding at pos.
@@ -73,6 +74,14 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{})
 		Pos:      p.Prog.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// KeepAllow marks this analyzer's //lint:allow directive at pos as used
+// although no finding landed on it: a function-level directive that changed
+// the analysis (a hotalloc cold boundary that stopped propagation) is doing
+// its job, and the stale-suppression report must not ask for its deletion.
+func (p *ProgramPass) KeepAllow(pos token.Pos) {
+	*p.kept = append(*p.kept, pos)
 }
 
 // IsTestFile reports whether pos lies in a test file of any program package
@@ -140,9 +149,13 @@ func runSuite(prog *Program, analyzers []*Analyzer, reportUnused bool) ([]Diagno
 		start := time.Now() //lint:allow determinism(wall-clock timing rows measure the analyzers, not the simulation)
 		var out []Diagnostic
 		if a.RunProgram != nil {
-			pass := &ProgramPass{Analyzer: a, Prog: prog, Graph: prog.Graph(), diags: &out}
+			var kept []token.Pos
+			pass := &ProgramPass{Analyzer: a, Prog: prog, Graph: prog.Graph(), diags: &out, kept: &kept}
 			if err := a.RunProgram(pass); err != nil {
 				return nil, nil, fmt.Errorf("%s: %v", a.Name, err)
+			}
+			for _, pos := range kept {
+				sup.keep(a.Name, prog.Fset.Position(pos))
 			}
 		} else {
 			for _, pkg := range prog.Pkgs {

@@ -107,32 +107,34 @@ type hostReader struct {
 	cfg      Config
 	host     *cluster.Host
 	thread   *cpusched.Thread
-	env      *sim.Env
-	raSeq    map[string]int64
-	raIssued map[string]int64
-	raFlight map[string][]*raWindow
+	raSeq    map[raKey]int64
+	raIssued map[raKey]int64
+	raFlight map[raKey][]*raWindow
 }
+
+// raKey names one mounted file in the readahead bookkeeping: a datanode and
+// the block path on its image.
+type raKey struct{ dn, path string }
 
 // raWindow tracks one in-flight host readahead I/O.
 type raWindow struct {
 	start, end int64
 	finished   bool
-	done       *sim.Signal
+	done       sim.Signal
 }
 
 func newHostReader(cfg Config, host *cluster.Host, thread *cpusched.Thread) *hostReader {
 	return &hostReader{
 		cfg: cfg, host: host, thread: thread,
-		env:      host.CPU.Env(),
-		raSeq:    make(map[string]int64),
-		raIssued: make(map[string]int64),
-		raFlight: make(map[string][]*raWindow),
+		raSeq:    make(map[raKey]int64),
+		raIssued: make(map[raKey]int64),
+		raFlight: make(map[raKey][]*raWindow),
 	}
 }
 
 // read charges the full host-side cost of reading [off, off+n) of the
 // mounted file identified by (obj, key) with snapshot size fileSize.
-func (h *hostReader) read(p *sim.Proc, tr *trace.Trace, obj int64, key string, fileSize, off, n int64) {
+func (h *hostReader) read(p *sim.Proc, tr *trace.Trace, obj int64, key raKey, fileSize, off, n int64) {
 	sp := tr.Begin(trace.LayerHostFS, "host-read")
 	if h.cfg.DirectDiskBypass {
 		// §6: raw device read — no host cache, triple address translation.
@@ -162,7 +164,7 @@ func (h *hostReader) read(p *sim.Proc, tr *trace.Trace, obj int64, key string, f
 
 // waitInflight blocks until no unfinished readahead window overlaps the
 // range.
-func (h *hostReader) waitInflight(p *sim.Proc, key string, off, n int64) {
+func (h *hostReader) waitInflight(p *sim.Proc, key raKey, off, n int64) {
 	for {
 		var w *raWindow
 		for _, cand := range h.raFlight[key] {
@@ -183,7 +185,7 @@ func (h *hostReader) waitInflight(p *sim.Proc, key string, off, n int64) {
 // readahead asynchronously pulls the next sequential window into the host
 // page cache. The submit and disk time charge to the triggering request's
 // trace: the I/O runs on its behalf even though it completes asynchronously.
-func (h *hostReader) readahead(tr *trace.Trace, obj int64, key string, fileSize, off, n int64) {
+func (h *hostReader) readahead(tr *trace.Trace, obj int64, key raKey, fileSize, off, n int64) {
 	end := off + n
 	if off != h.raSeq[key] {
 		// New sequential run: re-arm and forget prior issue bookkeeping
@@ -214,7 +216,7 @@ func (h *hostReader) readahead(tr *trace.Trace, obj int64, key string, fileSize,
 		return
 	}
 	h.thread.PostT(h.cfg.DiskSubmitCycles, metrics.TagDiskRead, tr, nil)
-	w := &raWindow{start: raStart, end: raEnd, done: sim.NewSignal(h.env)}
+	w := &raWindow{start: raStart, end: raEnd}
 	h.raFlight[key] = append(h.raFlight[key], w)
 	h.host.Disk.ReadAsyncT(tr, win, func() {
 		h.host.Cache.Insert(obj, w.start, win)
@@ -490,7 +492,7 @@ func (d *Daemon) readLocal(p *sim.Proc, req ringReq) {
 	sp := req.tr.Begin(trace.LayerDaemon, "read-local")
 	dnVM := d.mgr.cl.VM(req.dn)
 	obj := dnVM.HostCacheObject(e.Node.Ino())
-	key := req.dn + ":" + req.path
+	key := raKey{req.dn, req.path}
 	batch := int64(d.cfg.EventBatchSlots) * d.cfg.SlotBytes
 	for off := req.off; off < req.off+req.n; {
 		want := req.off + req.n - off
@@ -586,6 +588,8 @@ func (d *Daemon) readRemote(p *sim.Proc, dnHost string, req ringReq) {
 // fillSlots splits a slice across ring slots, paying the per-slot lock cost
 // as one batched charge (the per-byte copy into the ring is part of
 // loopReadCycles locally, and of the transport cost remotely).
+//
+//lint:hotpath
 func (d *Daemon) fillSlots(p *sim.Proc, tr *trace.Trace, s data.Slice, last bool) {
 	if stall, ok := d.faults.ShouldDelay(faults.RingStall); ok {
 		// Ring stall: the guest stops draining for a while. With the free

@@ -16,8 +16,9 @@ const (
 	hrChunk    = 256 << 10 // request size driving the reader
 	hrFileSize = 8 << 20
 	hrObj      = int64(42)
-	hrKey      = "blk_42"
 )
+
+var hrKey = raKey{dn: "dn42", path: "blk_42"}
 
 type hrFixture struct {
 	c  *cluster.Cluster

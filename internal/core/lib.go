@@ -212,6 +212,8 @@ func (v *VFD) ReadAt(p *sim.Proc, tr *trace.Trace, off, n int64) (data.Slice, er
 }
 
 // readOnce is one ring round trip: request descriptor in, slots drained out.
+//
+//lint:hotpath
 func (v *VFD) readOnce(p *sim.Proc, tr *trace.Trace, off, n int64) (data.Slice, error) {
 	l := v.lib
 	cfg := l.mgr.cfg
@@ -227,53 +229,65 @@ func (v *VFD) readOnce(p *sim.Proc, tr *trace.Trace, off, n int64) (data.Slice, 
 	ring.reqs.Put(p, req)
 
 	rsp := tr.Begin(trace.LayerRing, "ring-drain")
-	var parts data.Concat
-	var got int64
+	// The slots of one read are contiguous windows of the same file, so
+	// the gather keeps them as one window; it spills into a Concat only at
+	// a real discontinuity (a retried remainder from different Content).
+	var got data.Gather
 	// Spinlocks and slot→application copies are charged in doorbell-batch
 	// units, matching the driver's batched consumption.
 	var accSlots, accBytes int64
-	flush := func() {
-		if accSlots > 0 {
-			vcpu.RunT(p, cfg.SlotLockCycles*accSlots+cfg.guestCopyCycles(accBytes), metrics.TagCopyVRead, tr)
-			accSlots, accBytes = 0, 0
-		}
-	}
 	for {
 		slot, ok := ring.full.Get(p)
 		if !ok {
-			tr.EndSpan(rsp, got)
-			return data.Slice{}, fmt.Errorf("%w under %s", ErrRingClosed, v.blockName)
+			tr.EndSpan(rsp, got.Len())
+			return data.Slice{}, v.readErr(ErrRingClosed, "under")
 		}
 		if slot.code != slotOK {
 			ring.free.Put(p, struct{}{})
-			tr.EndSpan(rsp, got)
+			tr.EndSpan(rsp, got.Len())
 			switch slot.code {
 			case slotBadKey:
-				return data.Slice{}, fmt.Errorf("%w reading %s", ErrStaleKey, v.blockName)
+				return data.Slice{}, v.readErr(ErrStaleKey, "reading")
 			case slotRevoked:
-				return data.Slice{}, fmt.Errorf("%w reading %s", ErrRingRevoked, v.blockName)
+				return data.Slice{}, v.readErr(ErrRingRevoked, "reading")
 			default:
-				return data.Slice{}, fmt.Errorf("%w reading %s", ErrDaemonFailed, v.blockName)
+				return data.Slice{}, v.readErr(ErrDaemonFailed, "reading")
 			}
 		}
-		parts = append(parts, slot.s.Content())
-		got += slot.s.Len()
+		got.Add(slot.s)
 		accSlots++
 		accBytes += slot.s.Len()
 		if accSlots >= int64(cfg.EventBatchSlots) {
-			flush()
+			vcpu.RunT(p, cfg.SlotLockCycles*accSlots+cfg.guestCopyCycles(accBytes), metrics.TagCopyVRead, tr)
+			accSlots, accBytes = 0, 0
 		}
 		ring.free.Put(p, struct{}{})
 		if slot.last {
 			break
 		}
 	}
-	flush()
-	tr.EndSpan(rsp, got)
-	if got != n {
-		return data.Slice{}, fmt.Errorf("%w of %s: %d of %d", ErrShortRead, v.blockName, got, n)
+	if accSlots > 0 {
+		vcpu.RunT(p, cfg.SlotLockCycles*accSlots+cfg.guestCopyCycles(accBytes), metrics.TagCopyVRead, tr)
 	}
-	return data.NewSlice(parts), nil
+	tr.EndSpan(rsp, got.Len())
+	if got.Len() != n {
+		return data.Slice{}, v.shortReadErr(got.Len(), n)
+	}
+	return got.Slice(), nil
+}
+
+// readErr wraps a ring failure with the block it hit.
+//
+//lint:allow hotalloc(cold: error tail of the read path)
+func (v *VFD) readErr(err error, verb string) error {
+	return fmt.Errorf("%w %s %s", err, verb, v.blockName)
+}
+
+// shortReadErr reports a read whose slots stopped short.
+//
+//lint:allow hotalloc(cold: error tail of the read path)
+func (v *VFD) shortReadErr(got, n int64) error {
+	return fmt.Errorf("%w of %s: %d of %d", ErrShortRead, v.blockName, got, n)
 }
 
 // Close is vRead_close: drop the descriptor once the last reference goes.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"vread/internal/cluster"
 	"vread/internal/cpusched"
@@ -122,7 +121,7 @@ func (s *hostServer) handleRead(p *sim.Proc, req remoteReq) {
 	sp := req.tr.Begin(trace.LayerRemote, "serve-read")
 	dnVM := s.mgr.cl.VM(req.dn)
 	obj := dnVM.HostCacheObject(e.Node.Ino())
-	key := req.dn + ":" + req.path
+	key := raKey{req.dn, req.path}
 	cfg := s.mgr.cfg
 	for off := req.off; off < req.off+req.n; {
 		chunk := req.off + req.n - off
@@ -156,7 +155,30 @@ func (s *hostServer) handleRead(p *sim.Proc, req remoteReq) {
 
 // send pushes one frame to a peer host over the configured transport.
 func (s *hostServer) send(p *sim.Proc, tr *trace.Trace, dstHost string, payload data.Slice, meta remoteChunk) {
-	s.mgr.sendFrame(p, s.host.Name, s.thread, dstHost, netsim.Frame{Payload: payload, Meta: meta, Trace: tr})
+	hdr := s.mgr.chunkHdrs.get()
+	*hdr = meta
+	s.mgr.sendFrame(p, s.host.Name, s.thread, dstHost, netsim.Frame{Payload: payload, Meta: hdr, Trace: tr})
+}
+
+// pool is a free list of frame headers. A header travels as a frame's Meta
+// pointer, so the frame boxes nothing; onFrame copies it out and puts it
+// back. A header whose frame the network drops is left to the collector.
+type pool[T any] struct{ free []*T }
+
+func (pl *pool[T]) get() *T {
+	n := len(pl.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := pl.free[n-1]
+	pl.free = pl.free[:n-1]
+	return x
+}
+
+func (pl *pool[T]) put(x *T) {
+	var zero T
+	*x = zero
+	pl.free = append(pl.free, x) //lint:allow hotalloc(pool growth amortized: one slot per header in flight at once)
 }
 
 // ---------------------------------------------------------------------------
@@ -211,21 +233,32 @@ func (m *Manager) qpFor(a, b string) *netsim.QP {
 	return qp
 }
 
-func qpKey(a, b string) string {
-	s := []string{a, b}
-	sort.Strings(s)
-	return s[0] + "|" + s[1]
+// hostPair is an unordered pair of hosts, stored in order: the key of a
+// pair's QP and of its transport downgrade.
+type hostPair struct{ lo, hi string }
+
+func qpKey(a, b string) hostPair {
+	if b < a {
+		a, b = b, a
+	}
+	return hostPair{a, b}
 }
 
 // onFrame demultiplexes an arriving daemon-to-daemon frame on a host.
+//
+//lint:hotpath
 func (m *Manager) onFrame(host string, fr netsim.Frame) {
-	switch meta := fr.Meta.(type) {
-	case remoteReq:
+	switch hdr := fr.Meta.(type) {
+	case *remoteReq:
+		req := *hdr
+		m.reqHdrs.put(hdr)
 		srv := m.servers[host]
-		if srv == nil || !srv.reqs.TryPut(meta) {
+		if srv == nil || !srv.reqs.TryPut(req) {
 			panic(fmt.Sprintf("core: no vRead server on %s", host))
 		}
-	case remoteChunk:
+	case *remoteChunk:
+		meta := *hdr
+		m.chunkHdrs.put(hdr)
 		pend := m.pending[meta.reqID]
 		if pend == nil {
 			return // request abandoned (timed out and retired) — drop
@@ -254,9 +287,11 @@ func (m *Manager) remoteOpen(p *sim.Proc, d *Daemon, dnHost string, req ringReq)
 	pend := sim.NewQueue[chunkMsg](m.env, 0)
 	m.pending[id] = pend
 	defer delete(m.pending, id)
+	hdr := m.reqHdrs.get()
+	*hdr = remoteReq{reqID: id, fromHost: d.host.Name, dn: req.dn, path: req.path, open: true, tr: req.tr}
 	m.sendFrame(p, d.host.Name, d.thread, dnHost, netsim.Frame{
 		Payload: data.NewSlice(data.Zero(64)),
-		Meta:    remoteReq{reqID: id, fromHost: d.host.Name, dn: req.dn, path: req.path, open: true, tr: req.tr},
+		Meta:    hdr,
 		Trace:   req.tr,
 	})
 	msg, ok := pend.GetTimeout(p, m.cfg.OpenTimeout)
@@ -277,21 +312,45 @@ func (m *Manager) remoteOpen(p *sim.Proc, d *Daemon, dnHost string, req ringReq)
 func (m *Manager) remoteRead(p *sim.Proc, tr *trace.Trace, d *Daemon, dnHost, dn, path string, off, n int64) *sim.Queue[chunkMsg] {
 	m.nextReq++
 	id := m.nextReq
-	pend := sim.NewQueue[chunkMsg](m.env, 0)
+	pend := m.pendingQueue()
 	m.pending[id] = pend
 	m.pendingIDs[pend] = id
+	hdr := m.reqHdrs.get()
+	*hdr = remoteReq{reqID: id, fromHost: d.host.Name, dn: dn, path: path, off: off, n: n, tr: tr}
 	m.sendFrame(p, d.host.Name, d.thread, dnHost, netsim.Frame{
 		Payload: data.NewSlice(data.Zero(64)),
-		Meta:    remoteReq{reqID: id, fromHost: d.host.Name, dn: dn, path: path, off: off, n: n, tr: tr},
+		Meta:    hdr,
 		Trace:   tr,
 	})
 	return pend
 }
 
-// finishRemote retires a pending remote read.
-func (m *Manager) finishRemote(q *sim.Queue[chunkMsg]) {
-	if id, ok := m.pendingIDs[q]; ok {
-		delete(m.pending, id)
-		delete(m.pendingIDs, q)
+// pendingQueue takes a retired chunk queue for reuse, or makes one.
+func (m *Manager) pendingQueue() *sim.Queue[chunkMsg] {
+	n := len(m.pendFree)
+	if n == 0 {
+		return sim.NewQueue[chunkMsg](m.env, 0)
 	}
+	q := m.pendFree[n-1]
+	m.pendFree = m.pendFree[:n-1]
+	return q
+}
+
+// finishRemote retires a pending remote read. No frame reaches the queue
+// once its id is gone from pending, so it is emptied and kept for reuse.
+//
+//lint:hotpath
+func (m *Manager) finishRemote(q *sim.Queue[chunkMsg]) {
+	id, ok := m.pendingIDs[q]
+	if !ok {
+		return
+	}
+	delete(m.pending, id)
+	delete(m.pendingIDs, q)
+	for {
+		if _, ok := q.TryGet(); !ok {
+			break
+		}
+	}
+	m.pendFree = append(m.pendFree, q) //lint:allow hotalloc(pool growth amortized: one slot per remote read in flight at once)
 }

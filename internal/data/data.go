@@ -11,6 +11,7 @@ package data
 import (
 	"bytes"
 	"fmt"
+	"unsafe"
 )
 
 // Content is an immutable, random-access byte source.
@@ -142,6 +143,91 @@ func (s Slice) Content() Content {
 		return s.C
 	}
 	return window{s}
+}
+
+// Join returns s extended by next when next starts exactly where s ends in
+// the same Content, so the two windows are one window. It reports false,
+// returning s unchanged, for anything else: a gap, an overlap, or different
+// Content.
+func (s Slice) Join(next Slice) (Slice, bool) {
+	if s.Off+s.N != next.Off || !sameContent(s.C, next.C) {
+		return s, false
+	}
+	return Slice{C: s.C, Off: s.Off, N: s.N + next.N}, true
+}
+
+// sameContent reports whether a and b are provably the same Content. Bytes
+// and Concat are the same when they share backing array and length (their
+// elements are immutable); Pattern and Zero are values and compare as such.
+// It never uses == on an interface, whose dynamic type may not be
+// comparable, and any other type is never the same.
+func sameContent(a, b Content) bool {
+	switch x := a.(type) {
+	case Bytes:
+		y, ok := b.(Bytes)
+		return ok && len(x) == len(y) && unsafe.SliceData(x) == unsafe.SliceData(y)
+	case Concat:
+		y, ok := b.(Concat)
+		return ok && len(x) == len(y) && unsafe.SliceData(x) == unsafe.SliceData(y)
+	case Pattern:
+		y, ok := b.(Pattern)
+		return ok && x == y
+	case Zero:
+		y, ok := b.(Zero)
+		return ok && x == y
+	}
+	return false
+}
+
+// Gather assembles a sequence of Slices, in order, into one Slice. A run of
+// contiguous windows of the same Content is kept as one window (Join), so a
+// read delivered in many pieces of one file costs nothing to gather; only a
+// real discontinuity spills the run into a Concat. The zero Gather is empty.
+type Gather struct {
+	run   Slice
+	parts Concat
+	n     int64
+}
+
+// Add appends s. Empty slices add nothing.
+func (g *Gather) Add(s Slice) {
+	if s.N == 0 {
+		return
+	}
+	g.n += s.N
+	if g.run.N == 0 {
+		g.run = s
+		return
+	}
+	if run, ok := g.run.Join(s); ok {
+		g.run = run
+		return
+	}
+	g.spill()
+	g.run = s
+}
+
+// spill moves the finished run into parts.
+//
+//lint:allow hotalloc(cold: runs only at a real discontinuity, a torn read or a change of Content)
+func (g *Gather) spill() {
+	g.parts = append(g.parts, g.run.Content())
+}
+
+// Len returns the number of bytes added.
+func (g *Gather) Len() int64 { return g.n }
+
+// Slice returns everything added as one Slice: the run itself when one run
+// covers it, otherwise a Concat of the runs.
+func (g *Gather) Slice() Slice {
+	if len(g.parts) == 0 && g.run.N > 0 {
+		return g.run
+	}
+	if g.run.N > 0 {
+		g.spill()
+		g.run = Slice{}
+	}
+	return Slice{C: g.parts, N: g.n}
 }
 
 type window struct{ s Slice }

@@ -37,9 +37,13 @@ type Ino int64
 // Inode is a file or directory. Files accumulate immutable content chunks
 // (append-only, matching HDFS block files); directories map names to inodes.
 type Inode struct {
-	ino     Ino
-	isDir   bool
-	chunks  data.Concat
+	ino    Ino
+	isDir  bool
+	chunks data.Concat
+	// content is chunks boxed as a Content, boxed again by the first read
+	// after an append, so the reads in between return windows of one value
+	// without boxing the slice header each time.
+	content data.Content
 	size    int64
 	entries map[string]*Inode
 }
@@ -166,7 +170,7 @@ func (fs *FS) Append(path string, c data.Content) error {
 	if node.isDir {
 		return fmt.Errorf("%w: %s", ErrIsDir, path)
 	}
-	node.chunks = append(node.chunks, c)
+	node.setChunks(append(node.chunks, c))
 	node.size += c.Len()
 	return nil
 }
@@ -177,7 +181,7 @@ func (fs *FS) WriteFile(path string, c data.Content) error {
 		if node.isDir {
 			return fmt.Errorf("%w: %s", ErrIsDir, path)
 		}
-		node.chunks = data.Concat{c}
+		node.setChunks(data.Concat{c})
 		node.size = c.Len()
 		return nil
 	}
@@ -185,9 +189,15 @@ func (fs *FS) WriteFile(path string, c data.Content) error {
 	if err != nil {
 		return err
 	}
-	node.chunks = data.Concat{c}
+	node.setChunks(data.Concat{c})
 	node.size = c.Len()
 	return nil
+}
+
+// setChunks replaces the file's chunk list; the next read re-boxes it.
+func (n *Inode) setChunks(chunks data.Concat) {
+	n.chunks = chunks
+	n.content = nil
 }
 
 // ReadAt returns the byte window [off, off+n) of the file at path.
@@ -206,7 +216,10 @@ func readInode(node *Inode, off, n, limit int64, path string) (data.Slice, error
 	if off < 0 || n < 0 || off+n > limit {
 		return data.Slice{}, fmt.Errorf("%w: [%d,%d) of %d in %s", ErrRange, off, off+n, limit, path)
 	}
-	return data.Slice{C: node.chunks, Off: off, N: n}, nil
+	if node.content == nil {
+		node.content = node.chunks
+	}
+	return data.Slice{C: node.content, Off: off, N: n}, nil
 }
 
 // Stat returns the inode for path.

@@ -249,7 +249,7 @@ func (r *FileReader) readAt(p *sim.Proc, tr *trace.Trace, position, n int64) (da
 	if position < 0 || position+n > r.size {
 		return data.Slice{}, fmt.Errorf("hdfs: pread [%d,%d) outside file of %d", position, position+n, r.size)
 	}
-	var parts data.Concat
+	var got data.Gather
 	remaining := n
 	for remaining > 0 {
 		blk, ok := r.blockAt(position)
@@ -265,11 +265,11 @@ func (r *FileReader) readAt(p *sim.Proc, tr *trace.Trace, position, n int64) (da
 		if err != nil {
 			return data.Slice{}, err
 		}
-		parts = append(parts, s.Content())
+		got.Add(s)
 		remaining -= bytesToRead
 		position += bytesToRead
 	}
-	return data.NewSlice(parts), nil
+	return got.Slice(), nil
 }
 
 // readFromBlock dispatches one in-block range: short-circuit, vRead
@@ -458,15 +458,13 @@ func (r *FileReader) Close(p *sim.Proc) {
 
 // ReadFull reads exactly n sequential bytes via Read.
 func (r *FileReader) ReadFull(p *sim.Proc, n int64) (data.Slice, error) {
-	var parts data.Concat
-	var got int64
-	for got < n {
-		s, err := r.Read(p, n-got)
+	var got data.Gather
+	for got.Len() < n {
+		s, err := r.Read(p, n-got.Len())
 		if err != nil {
 			return data.Slice{}, err
 		}
-		parts = append(parts, s.Content())
-		got += s.Len()
+		got.Add(s)
 	}
-	return data.NewSlice(parts), nil
+	return got.Slice(), nil
 }

@@ -524,6 +524,95 @@ type QP struct {
 	ops      int64
 	opsBytes int64
 	broken   bool
+	free     []*qpPost // idle work-request records
+}
+
+// qpPost is one work request in flight on a QP. Its stage callbacks are
+// bound once, when the record is made, and records are reused, so a post
+// costs no closure: transmit runs when the posting thread has paid
+// RDMAPostCycles, arrive when the payload reaches the far NIC, complete when
+// the far thread has reaped the completion.
+type qpPost struct {
+	q       *QP
+	fr      Frame
+	onSent  func()
+	nic     *NIC
+	complTh *cpusched.Thread
+	recv    func(Frame)
+	sp      int
+
+	transmit, arrive, complete, dropped func()
+}
+
+// post takes an idle record from the pool, or makes one.
+func (q *QP) post() *qpPost {
+	if n := len(q.free); n > 0 {
+		p := q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+		return p
+	}
+	p := &qpPost{q: q}
+	p.transmit = p.onTransmit
+	p.arrive = p.onArrive
+	p.complete = p.onComplete
+	p.dropped = p.onDropped
+	return p
+}
+
+// release returns a finished record to the pool.
+func (q *QP) release(p *qpPost) {
+	p.fr, p.onSent, p.nic, p.complTh, p.recv = Frame{}, nil, nil, nil, nil
+	q.free = append(q.free, p)
+}
+
+// route records where a reachable post goes and the span it carries, which
+// onComplete ends.
+func (p *qpPost) route(nic *NIC, complTh *cpusched.Thread, recv func(Frame), sp int) {
+	p.nic, p.complTh, p.recv, p.sp = nic, complTh, recv, sp
+}
+
+// onTransmit paces the payload onto the local NIC and hands it to the far
+// side after the RDMA latency.
+func (p *qpPost) onTransmit() {
+	cfg := p.q.fabric.cfg
+	nic := p.nic
+	now := nic.env.Now()
+	start := now
+	if nic.busyUntil > start {
+		start = nic.busyUntil
+	}
+	txTime := time.Duration(float64(p.fr.Payload.Len()) / float64(cfg.Bandwidth) * float64(time.Second))
+	done := start + txTime
+	nic.busyUntil = done
+	nic.txBytes += p.fr.Payload.Len()
+	nic.txFrames++
+	if p.onSent != nil {
+		nic.env.Schedule(done-now, p.onSent)
+	}
+	p.q.fabric.deliverOn(nic.env, p.fr.SrcHost, p.fr.DstHost, done-now+cfg.RDMALatency, p.arrive)
+}
+
+// onArrive charges the completion on the far side's thread.
+func (p *qpPost) onArrive() {
+	p.complTh.PostT(p.q.fabric.cfg.RDMACompleteCycles, metrics.TagRDMA, p.fr.Trace, p.complete)
+}
+
+// onComplete closes the request's span and delivers the frame.
+func (p *qpPost) onComplete() {
+	fr, recv := p.fr, p.recv
+	fr.Trace.EndSpan(p.sp, fr.Payload.Len())
+	p.q.release(p)
+	recv(fr)
+}
+
+// onDropped is a lost post's local transmit-complete.
+func (p *qpPost) onDropped() {
+	onSent := p.onSent
+	p.q.release(p)
+	if onSent != nil {
+		onSent()
+	}
 }
 
 // NewQP connects two hosts. threadX is the thread whose entity RDMA CPU is
@@ -592,37 +681,16 @@ func (q *QP) PostFrom(host string, fr Frame, onSent func()) {
 	case q.fabric.domainBlocked(&fr, host, dstHost):
 		unreachable = true
 	}
+	wr := q.post()
+	wr.fr, wr.onSent = fr, onSent
 	if unreachable {
 		// Posting still costs CPU and the sender still sees local
 		// transmit-complete — the loss surfaces only at the reader's
 		// timeout, never as a synchronous error.
-		postTh.PostT(cfg.RDMAPostCycles, metrics.TagRDMA, fr.Trace, func() {
-			if onSent != nil {
-				onSent()
-			}
-		})
+		postTh.PostT(cfg.RDMAPostCycles, metrics.TagRDMA, fr.Trace, wr.dropped)
 		return
 	}
 	sp := fr.Trace.Begin(trace.LayerNet, "rdma")
-	postTh.PostT(cfg.RDMAPostCycles, metrics.TagRDMA, fr.Trace, func() {
-		now := nic.env.Now()
-		start := now
-		if nic.busyUntil > start {
-			start = nic.busyUntil
-		}
-		txTime := time.Duration(float64(fr.Payload.Len()) / float64(cfg.Bandwidth) * float64(time.Second))
-		done := start + txTime
-		nic.busyUntil = done
-		nic.txBytes += fr.Payload.Len()
-		nic.txFrames++
-		if onSent != nil {
-			nic.env.Schedule(done-now, onSent)
-		}
-		q.fabric.deliverOn(nic.env, host, dstHost, done-now+cfg.RDMALatency, func() {
-			complTh.PostT(cfg.RDMACompleteCycles, metrics.TagRDMA, fr.Trace, func() {
-				fr.Trace.EndSpan(sp, fr.Payload.Len())
-				recv(fr)
-			})
-		})
-	})
+	wr.route(nic, complTh, recv, sp)
+	postTh.PostT(cfg.RDMAPostCycles, metrics.TagRDMA, fr.Trace, wr.transmit)
 }

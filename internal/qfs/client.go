@@ -127,17 +127,15 @@ func (c *Client) readFile(p *sim.Proc, tr *trace.Trace, path string) (data.Slice
 	if err != nil {
 		return data.Slice{}, err
 	}
-	var parts data.Concat
-	var total int64
+	var got data.Gather
 	for _, ch := range chunks {
 		s, err := c.readChunk(p, tr, ch, 0, ch.Size)
 		if err != nil {
 			return data.Slice{}, err
 		}
-		parts = append(parts, s.Content())
-		total += s.Len()
+		got.Add(s)
 	}
-	return data.Slice{C: parts, N: total}, nil
+	return got.Slice(), nil
 }
 
 // ReadAt reads [off, off+n) of a file.
@@ -153,8 +151,7 @@ func (c *Client) readAt(p *sim.Proc, tr *trace.Trace, path string, off, n int64)
 	if err != nil {
 		return data.Slice{}, err
 	}
-	var parts data.Concat
-	var got int64
+	var got data.Gather
 	for _, ch := range chunks {
 		if off >= ch.FileOffset+ch.Size || off+n <= ch.FileOffset {
 			continue
@@ -171,13 +168,12 @@ func (c *Client) readAt(p *sim.Proc, tr *trace.Trace, path string, off, n int64)
 		if err != nil {
 			return data.Slice{}, err
 		}
-		parts = append(parts, s.Content())
-		got += s.Len()
+		got.Add(s)
 	}
-	if got != n {
-		return data.Slice{}, fmt.Errorf("qfs: read [%d,%d) of %s returned %d bytes", off, off+n, path, got)
+	if got.Len() != n {
+		return data.Slice{}, fmt.Errorf("qfs: read [%d,%d) of %s returned %d bytes", off, off+n, path, got.Len())
 	}
-	return data.Slice{C: parts, N: got}, nil
+	return got.Slice(), nil
 }
 
 func (c *Client) readChunk(p *sim.Proc, tr *trace.Trace, ch ChunkInfo, off, n int64) (data.Slice, error) {

@@ -12,19 +12,14 @@ type Queue[T any] struct {
 	head     int
 	n        int
 	capacity int
-	notEmpty *Signal
-	notFull  *Signal
+	notEmpty Signal
+	notFull  Signal
 	closed   bool
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
 func NewQueue[T any](env *Env, capacity int) *Queue[T] {
-	return &Queue[T]{
-		env:      env,
-		capacity: capacity,
-		notEmpty: NewSignal(env),
-		notFull:  NewSignal(env),
-	}
+	return &Queue[T]{env: env, capacity: capacity}
 }
 
 // Len returns the number of queued items.

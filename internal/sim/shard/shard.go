@@ -36,8 +36,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"vread/internal/par"
@@ -63,6 +64,12 @@ type Coordinator struct {
 	lps []*LP
 	//lint:owner(coordinator: merged mailbox, filled and drained only between epochs)
 	mail []msg
+	// Epoch state the workers read: set by run between rounds, so every
+	// epoch's round is the one step closure bound at New.
+	byShard  [][]*LP
+	errs     []error
+	deadline time.Duration
+	step     func(w int) error
 }
 
 // LP is one logical process: a single-threaded Env plus its cross-LP
@@ -98,7 +105,9 @@ func New(cfg Config) *Coordinator {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	return &Coordinator{cfg: cfg}
+	c := &Coordinator{cfg: cfg}
+	c.step = c.runShard
+	return c
 }
 
 // AddLP registers env as the next LP and returns its handle. The default
@@ -193,10 +202,10 @@ func (c *Coordinator) run(horizon time.Duration) error {
 	if len(c.lps) == 0 {
 		return nil
 	}
-	byShard := c.assign()
-	gang := par.NewGang(len(byShard))
+	c.byShard = c.assign()
+	gang := par.NewGang(len(c.byShard))
 	defer gang.Close()
-	errs := make([]error, len(c.lps))
+	c.errs = make([]error, len(c.lps))
 	lookahead := int64(c.cfg.Lookahead)
 
 	for {
@@ -209,20 +218,11 @@ func (c *Coordinator) run(horizon time.Duration) error {
 		if horizon >= 0 && end > int64(horizon)+1 {
 			end = int64(horizon) + 1
 		}
-		deadline := time.Duration(end - 1)
-		rerr := gang.Round(func(w int) error {
-			for _, lp := range byShard[w] {
-				if err := lp.env.RunUntil(deadline); err != nil {
-					errs[lp.id] = err
-					return nil // keep the barrier; surfaced below in LP order
-				}
-			}
-			return nil
-		})
-		if rerr != nil {
+		c.deadline = time.Duration(end - 1)
+		if rerr := gang.Round(c.step); rerr != nil {
 			return rerr
 		}
-		for _, err := range errs {
+		for _, err := range c.errs {
 			if err != nil {
 				return err
 			}
@@ -236,6 +236,20 @@ func (c *Coordinator) run(horizon time.Duration) error {
 					return err
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// runShard is one worker's part of an epoch: advance its shard's LPs to the
+// deadline.
+//
+//lint:owner(coordinator: one worker's epoch step — each worker touches only its own shard's LPs and errs slots)
+func (c *Coordinator) runShard(w int) error {
+	for _, lp := range c.byShard[w] {
+		if err := lp.env.RunUntil(c.deadline); err != nil {
+			c.errs[lp.id] = err
+			return nil // keep the barrier; surfaced by run in LP order
 		}
 	}
 	return nil
@@ -277,23 +291,26 @@ func (c *Coordinator) drain() {
 	if len(c.mail) == 0 {
 		return
 	}
-	sort.Slice(c.mail, func(i, j int) bool {
-		a, b := c.mail[i], c.mail[j]
-		if a.dst != b.dst {
-			return a.dst < b.dst
-		}
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(c.mail, compareMsg)
 	for _, m := range c.mail {
 		dst := c.lps[m.dst]
 		dst.env.Schedule(time.Duration(m.at)-dst.env.Now(), m.fn)
 	}
+}
+
+// compareMsg orders mail by (dst, at, src, seq), a total order: (src, seq)
+// is unique.
+func compareMsg(a, b msg) int {
+	if c := cmp.Compare(a.dst, b.dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // minNext returns the minimum NextAt bound across LPs.

@@ -186,6 +186,7 @@ type PageCache struct {
 	entries   map[CacheKey]*lruNode
 	head      *lruNode // most recent
 	tail      *lruNode // least recent
+	free      *lruNode // evicted or dropped nodes for reuse, linked by next
 	stats     CacheStats
 }
 
@@ -252,7 +253,7 @@ func (c *PageCache) Insert(object, off, n int64) {
 			c.promote(node)
 			return
 		}
-		node := &lruNode{key: key}
+		node := c.newNode(key)
 		c.entries[key] = node
 		c.pushFront(node)
 		for len(c.entries) > c.capacity {
@@ -279,14 +280,39 @@ func (c *PageCache) InvalidateObject(object int64) {
 		if key.Object == object {
 			c.unlink(node)
 			delete(c.entries, key)
+			c.recycle(node)
 		}
 	}
 }
 
 // DropAll empties the cache (echo 3 > /proc/sys/vm/drop_caches).
 func (c *PageCache) DropAll() {
-	c.entries = make(map[CacheKey]*lruNode)
+	for n := c.head; n != nil; {
+		next := n.next
+		n.prev, n.next = nil, nil
+		c.recycle(n)
+		n = next
+	}
+	clear(c.entries)
 	c.head, c.tail = nil, nil
+}
+
+// newNode returns a recycled node, or a new one, holding key.
+func (c *PageCache) newNode(key CacheKey) *lruNode {
+	n := c.free
+	if n == nil {
+		return &lruNode{key: key}
+	}
+	c.free = n.next
+	n.next = nil
+	n.key = key
+	return n
+}
+
+// recycle keeps an unlinked node for the next insert.
+func (c *PageCache) recycle(n *lruNode) {
+	n.next = c.free
+	c.free = n
 }
 
 func (c *PageCache) forEachChunk(off, n int64, fn func(chunk, bytes int64)) {
@@ -349,4 +375,5 @@ func (c *PageCache) evictLRU() {
 	victim := c.tail
 	c.unlink(victim)
 	delete(c.entries, victim.key)
+	c.recycle(victim)
 }
