@@ -152,10 +152,11 @@ func benchScheduleCancel() engineBench {
 	return toEngineBench("engine/schedule-cancel", res)
 }
 
-// benchTimerWheel measures schedule+fire for timers that land in the
-// hierarchical wheel's bucket lanes (microseconds to hundreds of
-// microseconds out) rather than the sub-tick heap the schedule-fire bench
-// exercises — the NIC/softirq/disk-completion timer profile.
+// benchTimerWheel measures schedule+fire for timers 1–200 µs out — the
+// NIC pacing, softirq and disk-completion timer profile — rather than the
+// nanosecond spread of the schedule-fire bench. The engine's one queue, the
+// 4-ary heap, serves them; the row keeps its name so the BENCH trajectory
+// stays comparable across snapshots.
 func benchTimerWheel() engineBench {
 	const batch = 1024
 	fn := func() {}

@@ -87,8 +87,8 @@ func TestWholeReadZeroAlloc(t *testing.T) {
 			if err := b.c.Env.RunFor(20 * time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
-			// Warm up: the host cache, the pools, and the event wheel, whose
-			// buckets keep their capacity once every one has been used.
+			// Warm up: the host cache, the pools, and the event heap, which
+			// keeps its capacity once it has grown to the working set.
 			for i := 0; i < 200; i++ {
 				step()
 			}

@@ -14,7 +14,9 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -152,7 +154,7 @@ func (s Spec) String() string {
 		}
 		b.WriteString(r.Point)
 		var opts []string
-		if r.Prob != 0 {
+		if r.Prob != 1 {
 			opts = append(opts, "p="+strconv.FormatFloat(r.Prob, 'g', -1, 64))
 		}
 		if r.AfterN != 0 {
@@ -177,7 +179,8 @@ func (s Spec) String() string {
 //	point[:opt,...][;point[:opt,...]]...
 //
 // where each opt is p=<prob>, after=<n>, max=<n>, or delay=<duration>.
-// A rule with no p= option fires deterministically (p=1). Example:
+// A rule with no p= option fires deterministically (p=1). A negative after,
+// max or delay and a p that is not a number are errors. Example:
 //
 //	disk.read.slow:p=0.05,delay=2ms;rdma.qp.teardown:after=6,max=1
 func ParseSpec(s string) (Spec, error) {
@@ -207,12 +210,15 @@ func ParseSpec(s string) (Spec, error) {
 				switch key {
 				case "p", "prob":
 					r.Prob, err = strconv.ParseFloat(val, 64)
+					if err == nil && math.IsNaN(r.Prob) {
+						err = errors.New("not a number")
+					}
 				case "after":
-					r.AfterN, err = strconv.ParseInt(val, 10, 64)
+					r.AfterN, err = nonNegative(strconv.ParseInt(val, 10, 64))
 				case "max":
-					r.MaxFires, err = strconv.ParseInt(val, 10, 64)
+					r.MaxFires, err = nonNegative(strconv.ParseInt(val, 10, 64))
 				case "delay":
-					r.Delay, err = time.ParseDuration(val)
+					r.Delay, err = nonNegative(time.ParseDuration(val))
 				default:
 					return nil, fmt.Errorf("faults: unknown option %q in rule %q", key, part)
 				}
@@ -224,6 +230,14 @@ func ParseSpec(s string) (Spec, error) {
 		spec = append(spec, r)
 	}
 	return spec, nil
+}
+
+// nonNegative passes a parsed option value through, rejecting one below zero.
+func nonNegative[T int64 | time.Duration](v T, err error) (T, error) {
+	if err == nil && v < 0 {
+		err = errors.New("must not be negative")
+	}
+	return v, err
 }
 
 // PointCount is one faultpoint's evaluation/firing tally.

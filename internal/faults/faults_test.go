@@ -2,6 +2,7 @@ package faults
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -223,18 +224,21 @@ func TestSetRearmKeepsTallies(t *testing.T) {
 }
 
 func TestParseSpecRoundTrip(t *testing.T) {
-	in := "disk.read.slow:p=0.05,delay=2ms;rdma.qp.teardown:after=6,max=1;daemon.crash"
+	in := "disk.read.slow:p=0.05,delay=2ms;rdma.qp.teardown:after=6,max=1;daemon.crash;ring.stall:p=0"
 	spec, err := ParseSpec(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec) != 3 {
+	if len(spec) != 4 {
 		t.Fatalf("len = %d", len(spec))
 	}
 	want := Spec{
 		{Point: DiskReadSlow, Prob: 0.05, Delay: 2 * time.Millisecond},
 		{Point: RDMAQPTeardown, Prob: 1, AfterN: 6, MaxFires: 1},
 		{Point: DaemonCrash, Prob: 1},
+		// Armed but never firing: the render must keep p=0, or the
+		// replayed rule fires with the default p=1.
+		{Point: RingStall, Prob: 0},
 	}
 	for i := range want {
 		if spec[i] != want[i] {
@@ -245,6 +249,9 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	again, err := ParseSpec(spec.String())
 	if err != nil {
 		t.Fatalf("reparse %q: %v", spec.String(), err)
+	}
+	if len(again) != len(spec) {
+		t.Fatalf("reparse %q: %d rules, want %d", spec.String(), len(again), len(spec))
 	}
 	for i := range spec {
 		if again[i] != spec[i] {
@@ -265,6 +272,27 @@ func TestParseSpecErrors(t *testing.T) {
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
+		}
+	}
+	// Values a Plan cannot run: each error names the rule it rejects.
+	for _, bad := range []string{
+		"disk.read.slow:delay=-5s",
+		"ring.stall:delay=-1ms",
+		"rdma.qp.teardown:after=-1",
+		"rdma.qp.teardown:max=-2",
+		"daemon.crash:p=NaN",
+	} {
+		_, err := ParseSpec("daemon.crash;" + bad)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
+		} else if !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("ParseSpec(%q) error %q does not name the rule", bad, err)
+		}
+	}
+	// Probabilities outside [0, 1] are valid: never-fire and always-fire.
+	for _, ok := range []string{"daemon.crash:p=-0.5", "daemon.crash:p=2", "daemon.crash:p=+Inf"} {
+		if _, err := ParseSpec(ok); err != nil {
+			t.Errorf("ParseSpec(%q): %v", ok, err)
 		}
 	}
 	spec, err := ParseSpec("  ;; ")

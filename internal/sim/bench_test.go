@@ -51,6 +51,10 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
+// BenchmarkTimerWheel is the twin of the engine/timer-wheel row: timers
+// 1–200 µs out, the NIC pacing, softirq and disk-completion profile, served
+// by the heap like every other event. The name is the row's, kept so the
+// BENCH trajectory stays comparable.
 func BenchmarkTimerWheel(b *testing.B) {
 	const batch = 1024
 	fn := func() {}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -206,15 +207,11 @@ func TestCancelHeavyTimeoutWorkload(t *testing.T) {
 func TestCancelEveryPendingTimer(t *testing.T) {
 	env := NewEnv(1)
 	// Exactly minCompact: the last Cancel is the one that trips compaction
-	// (ncancel > len/2 and >= minCompact) with nothing left to keep. Delays
-	// start beyond the timer-wheel horizon so every timer lands in the heap
-	// lane — compaction only accounts for heap tombstones (wheel tombstones
-	// die for free when their bucket drains).
+	// (ncancel > len/2 and >= minCompact) with nothing left to keep.
 	const n = minCompact
-	const beyondHorizon = time.Duration(wheelL1Slots<<l1TickShift) * time.Nanosecond
 	timers := make([]Timer, n)
 	for i := 0; i < n; i++ {
-		timers[i] = env.Schedule(beyondHorizon+time.Duration(i+1)*time.Millisecond, func() {
+		timers[i] = env.Schedule(time.Duration(i+1)*time.Millisecond, func() {
 			t.Errorf("cancelled timer #%d fired", i)
 		})
 	}
@@ -285,28 +282,54 @@ func TestCompactionPreservesOrder(t *testing.T) {
 		}
 		last, lastIdx = at, i
 	}
+	if n := len(env.events); n != 0 {
+		t.Fatalf("heap holds %d entries after the run: tombstones leaked", n)
+	}
 }
 
-// TestEngineDeterminismUnderCancel replays a mixed schedule/cancel workload
-// twice; compaction timing must not leak into the observable event order.
+// TestEngineDeterminismUnderCancel replays a schedule/cancel workload over
+// the whole mixed delay range twice: Pending must count only survivors,
+// survivors must fire in (at, seq) order, no tombstone may outlive the run,
+// and compaction timing must not leak into the observable event order.
 func TestEngineDeterminismUnderCancel(t *testing.T) {
 	run := func() []string {
 		env := NewEnv(99)
+		const n = 500
 		var trace []string
-		var timers []Timer
-		for i := 0; i < 400; i++ {
+		var fired []int
+		timers := make([]Timer, n)
+		ats := make([]time.Duration, n)
+		for i := 0; i < n; i++ {
 			i := i
-			d := time.Duration(env.Rand().Intn(5000)) * time.Microsecond
-			timers = append(timers, env.Schedule(d, func() {
+			d := time.Duration(env.Rand().Int63n(int64(2 * farDelay)))
+			ats[i] = env.Now() + d
+			timers[i] = env.Schedule(d, func() {
 				trace = append(trace, env.Now().String())
-				_ = i
-			}))
+				fired = append(fired, i)
+			})
 		}
-		for i := 0; i < len(timers); i += 2 {
-			timers[i].Cancel()
+		for i := 0; i < n; i += 2 {
+			if !timers[i].Cancel() {
+				t.Fatalf("Cancel #%d failed", i)
+			}
+		}
+		if got := env.Pending(); got != n/2 {
+			t.Fatalf("Pending = %d, want %d", got, n/2)
 		}
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if len(fired) != n/2 {
+			t.Fatalf("fired %d events, want %d", len(fired), n/2)
+		}
+		for i := 1; i < len(fired); i++ {
+			a, b := fired[i-1], fired[i]
+			if ats[b] < ats[a] || (ats[b] == ats[a] && b < a) {
+				t.Fatalf("survivors fired out of (at, seq) order: #%d then #%d", a, b)
+			}
+		}
+		if n := len(env.events); n != 0 {
+			t.Fatalf("heap holds %d entries after the run: tombstones leaked", n)
 		}
 		return trace
 	}
@@ -379,5 +402,227 @@ func TestCancellationStormDuringDispatch(t *testing.T) {
 	}
 	if n := len(env.events); n >= perWave {
 		t.Fatalf("heap holds %d dead entries after %d storm waves; compaction never caught up", n, waves)
+	}
+}
+
+// Delay classes of the simulation's timer mix: sub-microsecond softirq
+// kicks, NIC pacing and ring polls up to a few hundred microseconds, disk
+// service times up to tens of milliseconds, and rare far timeouts.
+const (
+	nearDelay = time.Microsecond
+	midDelay  = 256 * time.Microsecond
+	farDelay  = 16 * time.Millisecond
+)
+
+// scheduleMixed schedules n timers with delays drawn from every class, some
+// on a coarse grid so timestamps tie, and returns the expected firing order:
+// (at, seq) with seq equal to schedule order.
+func scheduleMixed(env *Env, n int, record func(i int)) []int {
+	type slot struct {
+		at  time.Duration
+		idx int
+	}
+	slots := make([]slot, 0, n)
+	for i := 0; i < n; i++ {
+		i := i
+		var d time.Duration
+		switch env.Rand().Intn(5) {
+		case 0:
+			d = time.Duration(env.Rand().Int63n(int64(nearDelay)))
+		case 1:
+			d = nearDelay + time.Duration(env.Rand().Int63n(int64(midDelay-nearDelay)))
+		case 2:
+			d = midDelay + time.Duration(env.Rand().Int63n(int64(farDelay-midDelay)))
+		case 3:
+			d = farDelay + time.Duration(env.Rand().Int63n(int64(farDelay)))
+		default: // whole microseconds: many events share a timestamp
+			d = time.Duration(env.Rand().Intn(8)) * time.Microsecond
+		}
+		slots = append(slots, slot{env.Now() + d, i})
+		env.Schedule(d, func() { record(i) })
+	}
+	sort.SliceStable(slots, func(a, b int) bool { return slots[a].at < slots[b].at })
+	want := make([]int, n)
+	for i, s := range slots {
+		want[i] = s.idx
+	}
+	return want
+}
+
+// The TestWheel* tests keep the names of the regressions first written
+// against the engine's former timing wheel; the contracts they pin — exact
+// (at, seq) order over every delay class, cancel bookkeeping and replay
+// determinism — are the heap engine's own.
+
+// checkMixedOrder schedules the delay mix after advancing the clock to start
+// and checks that every event fires in exact (at, seq) order.
+func checkMixedOrder(t *testing.T, seed int64, start time.Duration) {
+	t.Helper()
+	env := NewEnv(seed)
+	env.Schedule(start, func() {})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var fired []int
+	want := scheduleMixed(env, 800, func(i int) { fired = append(fired, i) })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != len(want) {
+		t.Fatalf("start %v: fired %d events, want %d", start, len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("start %v: firing order diverges at %d: got #%d, want #%d", start, i, fired[i], want[i])
+		}
+	}
+}
+
+// TestWheelOrderAcrossLanes checks the engine's core contract over the whole
+// delay mix on a fresh clock: events fire in exact (at, seq) order.
+func TestWheelOrderAcrossLanes(t *testing.T) {
+	checkMixedOrder(t, 7, 0)
+}
+
+// TestWheelOrderAfterCursorAdvance re-runs the mixed-delay order check after
+// the clock has advanced past a long stretch of virtual time.
+func TestWheelOrderAfterCursorAdvance(t *testing.T) {
+	checkMixedOrder(t, 11, 50*time.Millisecond)
+}
+
+// TestWheelWindowBoundaryCrossing schedules three events out of at order
+// around 262144 ns, one on the instant itself: all three must fire, in at
+// order.
+func TestWheelWindowBoundaryCrossing(t *testing.T) {
+	env := NewEnv(1)
+	var fired []string
+	const base = 262144 * time.Nanosecond
+	env.Schedule(base-time.Microsecond, func() { fired = append(fired, "a") })
+	env.Schedule(base+44*time.Microsecond, func() { fired = append(fired, "b") })
+	env.Schedule(base, func() { fired = append(fired, "c") })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(fired); got != 3 {
+		t.Fatalf("%d of 3 events fired around the boundary: %v", got, fired)
+	}
+	if fired[0] != "a" || fired[1] != "c" || fired[2] != "b" {
+		t.Fatalf("events fired out of order around the boundary: %v", fired)
+	}
+}
+
+// TestWheelCancelInBuckets cancels two of every three timers spread over the
+// near, mid and far delay classes; survivors must fire in exact (at, seq)
+// order and the tombstones must drain away without leaking.
+func TestWheelCancelInBuckets(t *testing.T) {
+	env := NewEnv(23)
+	const n = 600
+	var fired []int
+	timers := make([]Timer, n)
+	ats := make([]time.Duration, n)
+	for i := 0; i < n; i++ {
+		i := i
+		d := nearDelay + time.Duration(env.Rand().Int63n(int64(farDelay)))
+		ats[i] = env.Now() + d
+		timers[i] = env.Schedule(d, func() { fired = append(fired, i) })
+	}
+	want := 0
+	for i := range timers {
+		if i%3 == 0 {
+			want++
+			continue
+		}
+		if !timers[i].Cancel() {
+			t.Fatalf("Cancel #%d failed", i)
+		}
+	}
+	if got := env.Pending(); got != want {
+		t.Fatalf("Pending = %d, want %d", got, want)
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != want {
+		t.Fatalf("fired %d events, want %d", len(fired), want)
+	}
+	for i := 1; i < len(fired); i++ {
+		a, b := fired[i-1], fired[i]
+		if ats[b] < ats[a] || (ats[b] == ats[a] && b < a) {
+			t.Fatalf("survivors fired out of (at, seq) order: #%d then #%d", a, b)
+		}
+	}
+	if n := len(env.events); n != 0 {
+		t.Fatalf("heap holds %d entries after the run: tombstones leaked", n)
+	}
+}
+
+// TestWheelDeterminism replays a mixed-delay schedule/cancel workload twice;
+// the traces must be identical.
+func TestWheelDeterminism(t *testing.T) {
+	run := func() []string {
+		env := NewEnv(321)
+		var trace []string
+		var timers []Timer
+		for i := 0; i < 500; i++ {
+			d := time.Duration(env.Rand().Int63n(int64(2 * farDelay)))
+			timers = append(timers, env.Schedule(d, func() {
+				trace = append(trace, env.Now().String())
+			}))
+		}
+		for i := 0; i < len(timers); i += 2 {
+			timers[i].Cancel()
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return trace
+	}
+	a, b := run(), run()
+	if len(a) != len(b) {
+		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("traces diverge at %d: %q vs %q", i, a[i], b[i])
+		}
+	}
+}
+
+// TestNextAtBounds pins the NextAt contract: false on an empty engine, and
+// otherwise exactly the heap top's timestamp, a cancelled top included. A
+// RunUntil that stops inside a gap between events leaves NextAt at or after
+// the clock, so the shard coordinator never opens a window in the past.
+func TestNextAtBounds(t *testing.T) {
+	env := NewEnv(1)
+	if _, ok := env.NextAt(); ok {
+		t.Fatal("NextAt on an empty engine reports a pending event")
+	}
+	exact := func(want time.Duration) {
+		t.Helper()
+		if at, ok := env.NextAt(); !ok || at != int64(want) {
+			t.Fatalf("NextAt = (%d, %v), want (%d, true)", at, ok, int64(want))
+		}
+	}
+	far := env.Schedule(2*farDelay, func() {})
+	exact(2 * farDelay)
+	near := env.Schedule(100*time.Microsecond, func() {})
+	exact(100 * time.Microsecond)
+	// A cancelled top stays until it is popped; the bound does not move.
+	near.Cancel()
+	exact(100 * time.Microsecond)
+	env.Schedule(farDelay, func() {})
+	if err := env.RunUntil(farDelay / 2); err != nil {
+		t.Fatal(err)
+	}
+	exact(farDelay)
+	if at, _ := env.NextAt(); at < int64(env.Now()) {
+		t.Fatalf("NextAt = %d trails the clock at %d", at, int64(env.Now()))
+	}
+	far.Cancel()
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := env.NextAt(); ok {
+		t.Fatal("NextAt after draining reports a pending event")
 	}
 }

@@ -19,6 +19,8 @@ func (h *eventHeap) push(ev *event) {
 }
 
 // pop removes and returns the minimum event.
+//
+//lint:hotpath
 func (h *eventHeap) pop() *event {
 	old := *h
 	n := len(old)

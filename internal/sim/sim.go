@@ -3,8 +3,9 @@
 //
 // The engine combines two classic ideas:
 //
-//   - a virtual clock driven by a binary-heap event queue (ties broken by a
-//     monotonically increasing sequence number, so runs are bit-reproducible);
+//   - a virtual clock driven by a 4-ary min-heap event queue (ties broken by
+//     a monotonically increasing sequence number, so runs are
+//     bit-reproducible);
 //   - coroutine processes: each Proc is an iter.Pull coroutine. The engine
 //     resumes it with next, it parks with yield, and control moves between
 //     the two by a direct runtime.coroswitch, with no channel or scheduler
@@ -32,7 +33,6 @@ import (
 type Env struct {
 	now     time.Duration
 	events  eventHeap
-	wheel   wheel    // short/mid-delay timers; heap keeps the two tails
 	free    []*event // recycled events; Schedule pops here before allocating
 	live    int      // scheduled events that are neither fired nor cancelled
 	ncancel int      // cancelled events still occupying heap slots
@@ -89,10 +89,7 @@ func (e *Env) Schedule(after time.Duration, fn func()) Timer {
 	ev.at = e.now + after
 	ev.seq = e.nextSeq()
 	ev.fn = fn
-	if !e.scheduleWheel(ev) {
-		ev.lane = laneHeap
-		e.events.push(ev)
-	}
+	e.events.push(ev)
 	e.live++
 	return Timer{env: e, ev: ev, gen: ev.gen}
 }
@@ -153,23 +150,38 @@ func (e *Env) RunUntil(t time.Duration) error {
 // RunFor is RunUntil(Now()+d).
 func (e *Env) RunFor(d time.Duration) error { return e.RunUntil(e.now + d) }
 
+// NextAt returns the timestamp of the event at the top of the queue, and
+// whether any event is queued at all. A cancelled event still waiting to be
+// popped counts: the shard coordinator only needs a bound that is never later
+// than the next live event, and the tombstone drains for free when its window
+// runs. The bound never trails the clock, because no queued event is earlier
+// than Now.
+func (e *Env) NextAt() (int64, bool) {
+	if len(e.events) == 0 {
+		return 0, false
+	}
+	return int64(e.events[0].at), true
+}
+
 //lint:hotpath
 func (e *Env) run(deadline time.Duration) error {
 	e.stopped = false
 	for !e.stopped {
-		ev, ok := e.popNext(int64(deadline))
-		if !ok {
-			if e.queueEmpty() && e.idleHook != nil {
+		if len(e.events) == 0 {
+			if e.idleHook != nil {
 				e.idleHook()
-				if !e.queueEmpty() {
+				if len(e.events) > 0 {
 					continue
 				}
 			}
 			break
 		}
+		ev := e.events[0]
+		if deadline >= 0 && ev.at > deadline {
+			break
+		}
+		e.events.pop()
 		if ev.canceled {
-			// Cancelled events surface here only from the heap lane (wheel
-			// tombstones are recycled inside popNext).
 			e.ncancel--
 			e.recycle(ev)
 			continue
@@ -254,7 +266,6 @@ type event struct {
 	gen      uint64
 	fn       func()
 	canceled bool
-	lane     uint8 // container the event currently sits in (heap/L0/L1/due)
 }
 
 // Timer identifies a scheduled callback and allows cancelling it. The zero
@@ -286,16 +297,12 @@ func (t *Timer) Cancel() bool {
 	t.ev.canceled = true
 	e := t.env
 	e.live--
-	if t.ev.lane == laneHeap {
-		e.ncancel++
-		// The cancelled entry stays in the heap until it surfaces or until
-		// cancelled entries outnumber live ones, whichever comes first.
-		if e.ncancel > len(e.events)/2 && e.ncancel >= minCompact {
-			e.compact()
-		}
+	e.ncancel++
+	// The cancelled entry stays in the heap until it surfaces or until
+	// cancelled entries outnumber live ones, whichever comes first.
+	if e.ncancel > len(e.events)/2 && e.ncancel >= minCompact {
+		e.compact()
 	}
-	// Wheel- and due-resident tombstones are recycled for free when their
-	// bucket drains; they never join the heap's compaction accounting.
 	return true
 }
 
