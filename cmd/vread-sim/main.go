@@ -26,27 +26,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vread-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	useVRead := flag.Bool("vread", false, "enable vRead")
-	scenario := flag.String("scenario", "co-located", "block placement (co-located|remote|hybrid)")
-	freqGHz := flag.Float64("freq-ghz", 2.0, "host CPU frequency in GHz")
-	hogs := flag.Bool("hogs", false, "add the 85% lookbusy background VMs (4-VM setups)")
-	sizeMB := flag.Int64("size-mb", 256, "file size to write and read")
-	bufferKB := flag.Int64("buffer-kb", 1024, "application read buffer")
-	transport := flag.String("transport", "rdma", "remote daemon transport (rdma|tcp)")
-	bypass := flag.Bool("bypass", false, "daemon bypasses the host FS (§6 ablation)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	faultSpec := flag.String("faults", "", "deterministic fault plan (point[:p=..,after=..,max=..,delay=..];...)")
-	configPath := flag.String("config", "", "JSON scenario file (overrides the other flags)")
-	sloPath := flag.String("slo", "", "write scale-out SLO rows as JSON to this file (scale_out scenarios)")
-	blackoutPath := flag.String("blackout", "", "write migration blackout rows as JSON to this file (migrate scenarios)")
-	flag.Parse()
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	useVRead := fs.Bool("vread", false, "enable vRead")
+	scenario := fs.String("scenario", "co-located", "block placement (co-located|remote|hybrid)")
+	freqGHz := fs.Float64("freq-ghz", 2.0, "host CPU frequency in GHz")
+	hogs := fs.Bool("hogs", false, "add the 85% lookbusy background VMs (4-VM setups)")
+	sizeMB := fs.Int64("size-mb", 256, "file size to write and read")
+	bufferKB := fs.Int64("buffer-kb", 1024, "application read buffer")
+	transport := fs.String("transport", "rdma", "remote daemon transport (rdma|tcp)")
+	bypass := fs.Bool("bypass", false, "daemon bypasses the host FS (§6 ablation)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	faultSpec := fs.String("faults", "", "deterministic fault plan (point[:p=..,after=..,max=..,delay=..];...)")
+	configPath := fs.String("config", "", "JSON scenario file (overrides the other flags)")
+	sloPath := fs.String("slo", "", "write scale-out SLO rows as JSON to this file (scale_out scenarios)")
+	blackoutPath := fs.String("blackout", "", "write migration blackout rows as JSON to this file (migrate scenarios)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var opt vread.Options
 	var place vread.Scenario
@@ -62,7 +65,7 @@ func run() error {
 			return fmt.Errorf("config %s: %w", *configPath, err)
 		}
 		if scaleOut {
-			return runScale(opt, sc, *sloPath)
+			return runScale(w, opt, sc, *sloPath)
 		}
 		var mc vread.MigrationConfig
 		var migrate bool
@@ -71,7 +74,7 @@ func run() error {
 			return fmt.Errorf("config %s: %w", *configPath, err)
 		}
 		if migrate {
-			return runMigrate(opt, mc, *blackoutPath)
+			return runMigrate(w, opt, mc, *blackoutPath)
 		}
 		_, place, err = vread.ParseOptions(raw)
 		if err != nil {
@@ -145,35 +148,35 @@ func run() error {
 	if opt.VRead {
 		sys = "vRead"
 	}
-	fmt.Printf("scenario=%s system=%s freq=%.1fGHz hogs=%v size=%dMB buffer=%dKB\n\n",
+	fmt.Fprintf(w, "scenario=%s system=%s freq=%.1fGHz hogs=%v size=%dMB buffer=%dKB\n\n",
 		place, sys, float64(tb.Opt.FreqHz)/1e9, opt.ExtraVMs, *sizeMB, *bufferKB)
-	fmt.Printf("write:      %10.1f MB/s  (%v)\n", metrics.Throughput(size, writeTime), writeTime.Round(time.Millisecond))
-	fmt.Printf("cold read:  %10.1f MB/s  (%v)\n", metrics.Throughput(size, coldTime), coldTime.Round(time.Millisecond))
-	fmt.Printf("warm read:  %10.1f MB/s  (%v)\n\n", metrics.Throughput(size, warmTime), warmTime.Round(time.Millisecond))
+	fmt.Fprintf(w, "write:      %10.1f MB/s  (%v)\n", metrics.Throughput(size, writeTime), writeTime.Round(time.Millisecond))
+	fmt.Fprintf(w, "cold read:  %10.1f MB/s  (%v)\n", metrics.Throughput(size, coldTime), coldTime.Round(time.Millisecond))
+	fmt.Fprintf(w, "warm read:  %10.1f MB/s  (%v)\n\n", metrics.Throughput(size, warmTime), warmTime.Round(time.Millisecond))
 
 	now := tb.C.Env.Now()
-	fmt.Println("CPU utilization during reads (fraction of one core):")
+	fmt.Fprintln(w, "CPU utilization during reads (fraction of one core):")
 	for _, entity := range tb.C.Reg.Entities() {
-		u := tb.C.Reg.EntityUtilization(entity, now, opt.FreqHz)
+		u := tb.C.Reg.EntityUtilization(entity, now, tb.Opt.FreqHz)
 		if u < 0.001 {
 			continue
 		}
-		fmt.Printf("%-22s %6.1f%%\n", entity, u*100)
-		fmt.Print(metrics.FormatBreakdown(tb.C.Reg.Breakdown(entity, now, opt.FreqHz)))
+		fmt.Fprintf(w, "%-22s %6.1f%%\n", entity, u*100)
+		fmt.Fprint(w, metrics.FormatBreakdown(tb.C.Reg.Breakdown(entity, now, tb.Opt.FreqHz)))
 	}
 	if tb.Mgr != nil {
 		st := tb.Mgr.Daemon("client").Stats()
-		fmt.Printf("\nvRead daemon: opens=%d misses=%d localMB=%d remoteMB=%d\n",
+		fmt.Fprintf(w, "\nvRead daemon: opens=%d misses=%d localMB=%d remoteMB=%d\n",
 			st.Opens, st.OpenMisses, st.BytesLocal>>20, st.BytesRemote>>20)
 	}
 	if tb.Faults != nil {
-		fmt.Println("\nfault injection:")
+		fmt.Fprintln(w, "\nfault injection:")
 		for _, pc := range tb.Faults.Counts() {
-			fmt.Printf("%-20s evals=%-6d fired=%d\n", pc.Point, pc.Evals, pc.Fires)
+			fmt.Fprintf(w, "%-20s evals=%-6d fired=%d\n", pc.Point, pc.Evals, pc.Fires)
 		}
 		if tb.Mgr != nil {
 			st := tb.Mgr.Daemon("client").Stats()
-			fmt.Printf("degradation: lib-retries=%d remote-retries=%d crashes=%d doorbells-lost=%d downgrades=%d\n",
+			fmt.Fprintf(w, "degradation: lib-retries=%d remote-retries=%d crashes=%d doorbells-lost=%d downgrades=%d\n",
 				tb.Mgr.LibStats("client").Retries, st.RemoteRetries, st.Crashes,
 				st.DoorbellsLost, tb.Mgr.Downgrades())
 		}
@@ -184,12 +187,12 @@ func run() error {
 // runScale drives the datacenter-scale scenario: a federated namespace over
 // a multi-domain topology under an open-loop storm, emitting p50/p95/p99 SLO
 // rows (and, with -slo, a JSON report for CI artifacts).
-func runScale(opt vread.Options, sc vread.ScaleConfig, sloPath string) error {
+func runScale(w io.Writer, opt vread.Options, sc vread.ScaleConfig, sloPath string) error {
 	rows, err := vread.RunScale(opt, sc)
 	if err != nil {
 		return err
 	}
-	fmt.Print(vread.RenderSLORows(rows))
+	fmt.Fprint(w, vread.RenderSLORows(rows))
 	if sloPath == "" {
 		return nil
 	}
@@ -202,19 +205,19 @@ func runScale(opt vread.Options, sc vread.ScaleConfig, sloPath string) error {
 	if err := os.WriteFile(sloPath, append(blob, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d rows)\n", sloPath, len(rows))
+	fmt.Fprintf(w, "wrote %s (%d rows)\n", sloPath, len(rows))
 	return nil
 }
 
 // runMigrate drives the live-mount-migration blackout sweep: one cell per
 // in-flight depth, every read correct or the sweep errors, blackout rows
 // printed (and, with -blackout, written as JSON for CI artifacts).
-func runMigrate(opt vread.Options, mc vread.MigrationConfig, blackoutPath string) error {
+func runMigrate(w io.Writer, opt vread.Options, mc vread.MigrationConfig, blackoutPath string) error {
 	rows, err := vread.RunMigrationSweep(opt, mc)
 	if err != nil {
 		return err
 	}
-	fmt.Print(vread.FormatMigration(rows))
+	fmt.Fprint(w, vread.FormatMigration(rows))
 	if blackoutPath == "" {
 		return nil
 	}
@@ -227,7 +230,7 @@ func runMigrate(opt vread.Options, mc vread.MigrationConfig, blackoutPath string
 	if err := os.WriteFile(blackoutPath, append(blob, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d rows)\n", blackoutPath, len(rows))
+	fmt.Fprintf(w, "wrote %s (%d rows)\n", blackoutPath, len(rows))
 	return nil
 }
 

@@ -3,8 +3,8 @@
 //
 //  1. Every span opened with trace.Trace.Begin is ended on all return paths
 //     of the function that opened it (EndSpan, or a defer). A span left open
-//     records End == -1 and silently drops its cycles from the Figure 6–8
-//     breakdowns — the reducers cannot attribute what was never closed.
+//     records End == -1 and reads as zero-length, silently skewing the
+//     per-stage latency percentiles and the Chrome export.
 //  2. An exported function that accepts a *trace.Trace must actually use it
 //     — pass it to a callee, charge cycles, open a span. Accepting and
 //     dropping a trace context severs the request's observability spine for

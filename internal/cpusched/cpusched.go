@@ -14,8 +14,9 @@
 // against the target core's current thread, sleeper-fairness vruntime
 // placement, timeslices of sched_latency/nr_running clamped to a minimum
 // granularity, new-idle stealing, and periodic load balancing. All cycle
-// consumption is charged to a metrics.Registry under the consuming thread's
-// entity and the work item's tag.
+// consumption is charged under the work item's tag to the consuming thread's
+// entity ledger in a metrics.Registry (resolved once, in NewThread), and to
+// the item's request trace when it carries one.
 //
 // Threads are *work queues*, not coroutines: any number of simulated
 // processes may submit cycle-work to one thread (a 1-vCPU guest multiplexes
@@ -141,6 +142,7 @@ type Thread struct {
 	cpu      *CPU
 	name     string
 	entity   string
+	ledger   *metrics.Ledger // entity's cycle ledger, resolved once
 	state    ThreadState
 	vruntime time.Duration
 	seq      uint64     // runqueue FIFO tiebreak
@@ -157,7 +159,6 @@ type workItem struct {
 	remaining int64
 	tag       string
 	tr        *trace.Trace // request the cycles are performed for (may be nil)
-	sched     bool         // scheduler-injected (context switch, cache refill)
 	onDone    func()
 }
 
@@ -210,7 +211,7 @@ func (c *CPU) DurFor(cycles int64) time.Duration {
 // NewThread registers a thread. Entity names group metrics ("client",
 // "datanode", "vread-daemon"...).
 func (c *CPU) NewThread(name, entity string) *Thread {
-	return &Thread{cpu: c, name: name, entity: entity}
+	return &Thread{cpu: c, name: name, entity: entity, ledger: c.reg.Ledger(entity)}
 }
 
 // Name returns the thread name.
@@ -390,7 +391,7 @@ func (c *CPU) dispatch(co *core, t *Thread, delay time.Duration) {
 func (co *core) chargeCold(t *Thread) {
 	c := co.cpu
 	if c.cfg.CacheColdCycles > 0 && co.last != t {
-		t.prependWork(workItem{remaining: c.cfg.CacheColdCycles, tag: metrics.TagOthers, sched: true})
+		t.prependWork(workItem{remaining: c.cfg.CacheColdCycles, tag: metrics.TagOthers})
 		t.pending += c.cfg.CacheColdCycles
 	}
 	co.last = t
@@ -541,7 +542,7 @@ func (co *core) pickNext() {
 	co.chargeCold(next)
 	// Context-switch cost charged as leading work on the incoming thread.
 	if c.cfg.CtxSwitchCycles > 0 {
-		next.prependWork(workItem{remaining: c.cfg.CtxSwitchCycles, tag: metrics.TagOthers, sched: true})
+		next.prependWork(workItem{remaining: c.cfg.CtxSwitchCycles, tag: metrics.TagOthers})
 		next.pending += c.cfg.CtxSwitchCycles
 	}
 	c.env.Schedule(0, co.start)
@@ -584,11 +585,8 @@ func (c *CPU) consume(t *Thread, cycles int64) {
 		t.pending -= use
 		t.consumed += use
 		cycles -= use
-		c.reg.AddCycles(t.entity, it.tag, use)
+		t.ledger.Charge(it.tag, use)
 		it.tr.AddCycles(t.entity, it.tag, use) // nil-safe
-		if it.sched {
-			c.reg.AddSchedCycles(t.entity, use)
-		}
 		if it.remaining == 0 {
 			onDone := it.onDone
 			t.popWork()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"vread/internal/core"
@@ -77,12 +78,8 @@ type MigrateJSON struct {
 // ParseMigrateOptions decodes a scenario file and reports whether it selects
 // the migration sweep ("migrate" present).
 func ParseMigrateOptions(raw []byte) (Options, MigrationConfig, bool, error) {
-	opt, _, err := ParseOptions(raw)
+	j, opt, _, err := parseScenario(raw)
 	if err != nil {
-		return Options{}, MigrationConfig{}, false, err
-	}
-	var j OptionsJSON
-	if err := json.Unmarshal(raw, &j); err != nil {
 		return Options{}, MigrationConfig{}, false, err
 	}
 	if j.Migrate == nil {
@@ -104,12 +101,8 @@ func ParseMigrateOptions(raw []byte) (Options, MigrationConfig, bool, error) {
 // the scale-out path ("scale_out" present). Options.Shards/Replication apply
 // to both paths.
 func ParseScaleOptions(raw []byte) (Options, ScaleConfig, bool, error) {
-	opt, _, err := ParseOptions(raw)
+	j, opt, _, err := parseScenario(raw)
 	if err != nil {
-		return Options{}, ScaleConfig{}, false, err
-	}
-	var j OptionsJSON
-	if err := json.Unmarshal(raw, &j); err != nil {
 		return Options{}, ScaleConfig{}, false, err
 	}
 	if j.ScaleOut == nil {
@@ -135,13 +128,22 @@ func ParseScaleOptions(raw []byte) (Options, ScaleConfig, bool, error) {
 
 // ParseOptions decodes a scenario file into Options plus the placement
 // scenario (defaulting to co-located). Unknown fields are rejected so typos
-// fail loudly.
+// fail loudly, and so is any negative quantity (see OptionsJSON.validate).
 func ParseOptions(raw []byte) (Options, Scenario, error) {
+	_, opt, scenario, err := parseScenario(raw)
+	return opt, scenario, err
+}
+
+// parseScenario is the one decoder behind the Parse*Options entry points.
+func parseScenario(raw []byte) (OptionsJSON, Options, Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var j OptionsJSON
 	if err := dec.Decode(&j); err != nil {
-		return Options{}, Colocated, fmt.Errorf("experiments: bad scenario config: %w", err)
+		return j, Options{}, Colocated, fmt.Errorf("experiments: bad scenario config: %w", err)
+	}
+	if err := j.validate(); err != nil {
+		return j, Options{}, Colocated, err
 	}
 	opt := Options{
 		Seed:             j.Seed,
@@ -163,12 +165,12 @@ func ParseOptions(raw []byte) (Options, Scenario, error) {
 	case "tcp":
 		opt.Transport = core.TransportTCP
 	default:
-		return Options{}, Colocated, fmt.Errorf("experiments: unknown transport %q", j.Transport)
+		return j, Options{}, Colocated, fmt.Errorf("experiments: unknown transport %q", j.Transport)
 	}
 	if j.Faults != "" {
 		spec, err := faults.ParseSpec(j.Faults)
 		if err != nil {
-			return Options{}, Colocated, fmt.Errorf("experiments: %w", err)
+			return j, Options{}, Colocated, fmt.Errorf("experiments: %w", err)
 		}
 		opt.Faults = spec
 	}
@@ -181,7 +183,53 @@ func ParseOptions(raw []byte) (Options, Scenario, error) {
 	case "hybrid":
 		scenario = Hybrid
 	default:
-		return Options{}, Colocated, fmt.Errorf("experiments: unknown scenario %q", j.Scenario)
+		return j, Options{}, Colocated, fmt.Errorf("experiments: unknown scenario %q", j.Scenario)
 	}
-	return opt, scenario, nil
+	return j, opt, scenario, nil
+}
+
+// validate rejects every negative quantity, every one too large for the unit
+// the parser converts it to (Hz, bytes, nanoseconds), and a migration depth
+// of zero (a cell needs at least one reader VM), naming the field: such a
+// value would otherwise panic deep inside a run. Seeds are not quantities and
+// may take any value.
+func (j *OptionsJSON) validate() error {
+	var bad string
+	check := func(field string, ok bool) {
+		if !ok && bad == "" {
+			bad = field
+		}
+	}
+	check("freq_ghz", j.FreqGHz >= 0 && j.FreqGHz*1e9 < math.MaxInt64)
+	check("scale", j.Scale >= 0)
+	check("block_size_mb", j.BlockSizeMB >= 0 && j.BlockSizeMB <= math.MaxInt64>>20)
+	check("shards", j.Shards >= 0)
+	check("replication", j.Replication >= 0)
+	if s := j.ScaleOut; s != nil {
+		check("scale_out.domains", s.Domains >= 0)
+		check("scale_out.racks_per_domain", s.RacksPerDomain >= 0)
+		check("scale_out.hosts_per_rack", s.HostsPerRack >= 0)
+		check("scale_out.datanodes", s.Datanodes >= 0)
+		check("scale_out.clients", s.Clients >= 0)
+		check("scale_out.files", s.Files >= 0)
+		check("scale_out.file_kb", s.FileKB >= 0 && int64(s.FileKB) <= math.MaxInt64>>10)
+		for _, q := range s.QPS {
+			check("scale_out.qps", q >= 0)
+		}
+		check("scale_out.reads", s.Reads >= 0)
+	}
+	if m := j.Migrate; m != nil {
+		for _, d := range m.Depths {
+			check("migrate.depths", d > 0)
+		}
+		check("migrate.reads_per_stream", m.ReadsPerStream >= 0)
+		check("migrate.read_kb", m.ReadKB >= 0 && int64(m.ReadKB) <= math.MaxInt64>>10)
+		check("migrate.file_kb", m.FileKB >= 0 && int64(m.FileKB) <= math.MaxInt64>>10)
+		check("migrate.trigger_after_us", m.TriggerAfterUS >= 0 &&
+			int64(m.TriggerAfterUS) <= math.MaxInt64/int64(time.Microsecond))
+	}
+	if bad != "" {
+		return fmt.Errorf("experiments: scenario field %s is negative or out of range", bad)
+	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -146,4 +148,78 @@ func TestParseScaleOptionsRejectsTypos(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "sead") {
 		t.Fatalf("typo not rejected: %v", err)
 	}
+}
+
+// TestParseOptionsRejectsNegativeFields: each of these configs used to be
+// accepted and then panic deep inside the run (cpusched.New, a data window,
+// a makeslice in the migration cell or in BuildTopology). Every parser must
+// now refuse it with an error naming the field.
+func TestParseOptionsRejectsNegativeFields(t *testing.T) {
+	for _, tc := range []struct{ raw, field string }{
+		{`{"freq_ghz": -1}`, "freq_ghz"},
+		{`{"freq_ghz": 1e12}`, "freq_ghz"},
+		{`{"block_size_mb": -1}`, "block_size_mb"},
+		{`{"block_size_mb": 9007199254740992}`, "block_size_mb"},
+		{`{"scale": -0.5}`, "scale"},
+		{`{"shards": -2}`, "shards"},
+		{`{"migrate": {"depths": [1, -1]}}`, "migrate.depths"},
+		{`{"migrate": {"depths": [0]}}`, "migrate.depths"},
+		{`{"migrate": {"trigger_after_us": -5}}`, "migrate.trigger_after_us"},
+		{`{"scale_out": {"domains": -1}}`, "scale_out.domains"},
+		{`{"scale_out": {"qps": [100, -1]}}`, "scale_out.qps"},
+	} {
+		_, _, err1 := ParseOptions([]byte(tc.raw))
+		_, _, _, err2 := ParseScaleOptions([]byte(tc.raw))
+		_, _, _, err3 := ParseMigrateOptions([]byte(tc.raw))
+		for _, err := range []error{err1, err2, err3} {
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s: error %v does not name %s", tc.raw, err, tc.field)
+			}
+		}
+	}
+}
+
+// FuzzParseOptions: no scenario file panics a parser, and an accepted one
+// yields no negative quantity (seeds excepted: any seed is valid) and no
+// migration depth below one.
+func FuzzParseOptions(f *testing.F) {
+	files, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no scenario seeds: %v", err)
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"freq_ghz": 3.2, "block_size_mb": 32, "scale": 0.5}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		opt, _, err := ParseOptions(raw)
+		if err == nil && (opt.FreqHz < 0 || opt.Scale < 0 || opt.BlockSize < 0 || opt.Shards < 0 || opt.Replication < 0) {
+			t.Fatalf("accepted negative options %+v from %s", opt, raw)
+		}
+		_, sc, _, err := ParseScaleOptions(raw)
+		if err == nil {
+			neg := sc.Domains < 0 || sc.RacksPerDomain < 0 || sc.HostsPerRack < 0 || sc.Datanodes < 0 ||
+				sc.Clients < 0 || sc.Files < 0 || sc.FileSize < 0 || sc.Reads < 0
+			for _, q := range sc.QPSLevels {
+				neg = neg || q < 0
+			}
+			if neg {
+				t.Fatalf("accepted negative scale config %+v from %s", sc, raw)
+			}
+		}
+		_, mc, _, err := ParseMigrateOptions(raw)
+		if err == nil {
+			neg := mc.ReadsPerStream < 0 || mc.ReadSize < 0 || mc.FileSize < 0 || mc.TriggerAfter < 0
+			for _, d := range mc.Depths {
+				neg = neg || d < 1
+			}
+			if neg {
+				t.Fatalf("accepted negative migration config %+v from %s", mc, raw)
+			}
+		}
+	})
 }

@@ -29,71 +29,91 @@ const (
 	TagDatanodeApp = "datanode-application"
 )
 
-// Registry accumulates cycle counts. The zero value is not usable; call
-// NewRegistry.
+// Registry accumulates cycle counts, one Ledger per entity. The zero value
+// is not usable; call NewRegistry.
 type Registry struct {
-	cycles map[string]map[string]int64 // entity -> tag -> cycles
-	marks  map[string]int64            // snapshot support: key "entity\x00tag"
-	start  time.Duration               // window start for utilization reports
+	ledgers map[string]*Ledger // entity -> ledger, made on first lookup
+	start   time.Duration      // window start for utilization reports
+}
 
-	// Scheduler-injected overhead (context switches, cache-cold refills) is
-	// charged to "others" like any work, but also recorded here per entity:
-	// it is the one class of cycles that belongs to no single request, so
-	// trace-derived breakdowns add it back to reconcile with the registry.
-	sched      map[string]int64
-	schedMarks map[string]int64
+// Ledger is one entity's cycle counters: a row per tag, in first-charge
+// order. A cpusched.Thread resolves its entity's ledger once, when it is
+// created, so charging a slice scans a handful of tags and never looks a
+// string up in a map.
+type Ledger struct {
+	entity string
+	rows   []ledgerRow
+}
+
+type ledgerRow struct {
+	tag    string
+	cycles int64 // charged since creation
+	mark   int64 // cycles at the last MarkWindow
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		cycles:     make(map[string]map[string]int64),
-		marks:      make(map[string]int64),
-		sched:      make(map[string]int64),
-		schedMarks: make(map[string]int64),
+	return &Registry{ledgers: make(map[string]*Ledger)}
+}
+
+// Ledger returns entity's ledger, creating it empty on first use. An entity
+// is listed by Entities only once something has been charged to it.
+func (r *Registry) Ledger(entity string) *Ledger {
+	l := r.ledgers[entity]
+	if l == nil {
+		l = &Ledger{entity: entity}
+		r.ledgers[entity] = l
 	}
+	return l
 }
 
 // AddCycles charges n cycles to (entity, tag). Negative n panics.
 func (r *Registry) AddCycles(entity, tag string, n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("metrics: negative cycles %d for %s/%s", n, entity, tag))
-	}
-	m := r.cycles[entity]
-	if m == nil {
-		m = make(map[string]int64) //lint:allow hotalloc(one tag map per entity, made on its first charge)
-		r.cycles[entity] = m
-	}
-	m[tag] += n
+	r.Ledger(entity).Charge(tag, n)
 }
 
-// AddSchedCycles records n scheduler-injected cycles for entity. The cycles
-// must also be charged via AddCycles (under "others"); this side ledger only
-// classifies them as request-unattributable.
-func (r *Registry) AddSchedCycles(entity string, n int64) {
+// Charge adds n cycles to tag. Negative n panics.
+//
+//lint:hotpath
+func (l *Ledger) Charge(tag string, n int64) {
 	if n < 0 {
-		panic(fmt.Sprintf("metrics: negative sched cycles %d for %s", n, entity))
+		panic(fmt.Sprintf("metrics: negative cycles %d for %s/%s", n, l.entity, tag))
 	}
-	r.sched[entity] += n
+	for i := range l.rows {
+		if l.rows[i].tag == tag {
+			l.rows[i].cycles += n
+			return
+		}
+	}
+	l.rows = append(l.rows, ledgerRow{tag: tag, cycles: n}) //lint:allow hotalloc(one row per tag, appended on the tag's first charge)
 }
 
-// SchedCycles returns scheduler-injected cycles for entity since creation.
-func (r *Registry) SchedCycles(entity string) int64 { return r.sched[entity] }
+// rows returns entity's ledger rows (none if it was never charged).
+func (r *Registry) rows(entity string) []ledgerRow {
+	if l := r.ledgers[entity]; l != nil {
+		return l.rows
+	}
+	return nil
+}
 
-// WindowSchedCycles returns scheduler-injected cycles for entity since
-// MarkWindow.
-func (r *Registry) WindowSchedCycles(entity string) int64 {
-	return r.sched[entity] - r.schedMarks[entity]
+// row returns the counters of (entity, tag), or a zero row if never charged.
+func (r *Registry) row(entity, tag string) ledgerRow {
+	for _, w := range r.rows(entity) {
+		if w.tag == tag {
+			return w
+		}
+	}
+	return ledgerRow{}
 }
 
 // Cycles returns the cycles charged to (entity, tag) since creation.
-func (r *Registry) Cycles(entity, tag string) int64 { return r.cycles[entity][tag] }
+func (r *Registry) Cycles(entity, tag string) int64 { return r.row(entity, tag).cycles }
 
 // EntityCycles returns total cycles charged to an entity across all tags.
 func (r *Registry) EntityCycles(entity string) int64 {
 	var sum int64
-	for _, v := range r.cycles[entity] {
-		sum += v
+	for _, w := range r.rows(entity) {
+		sum += w.cycles
 	}
 	return sum
 }
@@ -101,17 +121,19 @@ func (r *Registry) EntityCycles(entity string) int64 {
 // TotalCycles returns the grand total across all entities.
 func (r *Registry) TotalCycles() int64 {
 	var sum int64
-	for e := range r.cycles {
+	for e := range r.ledgers {
 		sum += r.EntityCycles(e)
 	}
 	return sum
 }
 
-// Entities returns all entity names, sorted.
+// Entities returns the names of all charged entities, sorted.
 func (r *Registry) Entities() []string {
-	out := make([]string, 0, len(r.cycles))
-	for e := range r.cycles {
-		out = append(out, e)
+	out := make([]string, 0, len(r.ledgers))
+	for e, l := range r.ledgers {
+		if len(l.rows) > 0 {
+			out = append(out, e)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -119,10 +141,9 @@ func (r *Registry) Entities() []string {
 
 // Tags returns the tags charged under entity, sorted.
 func (r *Registry) Tags(entity string) []string {
-	m := r.cycles[entity]
-	out := make([]string, 0, len(m))
-	for t := range m {
-		out = append(out, t)
+	var out []string
+	for _, w := range r.rows(entity) {
+		out = append(out, w.tag)
 	}
 	sort.Strings(out)
 	return out
@@ -132,26 +153,24 @@ func (r *Registry) Tags(entity string) []string {
 // measurement window; Utilization and WindowCycles report relative to it.
 func (r *Registry) MarkWindow(now time.Duration) {
 	r.start = now
-	for e, m := range r.cycles {
-		for t, v := range m {
-			r.marks[e+"\x00"+t] = v
+	for _, l := range r.ledgers {
+		for i := range l.rows {
+			l.rows[i].mark = l.rows[i].cycles
 		}
-	}
-	for e, v := range r.sched {
-		r.schedMarks[e] = v
 	}
 }
 
 // WindowCycles returns cycles charged to (entity, tag) since MarkWindow.
 func (r *Registry) WindowCycles(entity, tag string) int64 {
-	return r.cycles[entity][tag] - r.marks[entity+"\x00"+tag]
+	w := r.row(entity, tag)
+	return w.cycles - w.mark
 }
 
 // WindowEntityCycles returns cycles charged to entity since MarkWindow.
 func (r *Registry) WindowEntityCycles(entity string) int64 {
 	var sum int64
-	for t := range r.cycles[entity] {
-		sum += r.WindowCycles(entity, t)
+	for _, w := range r.rows(entity) {
+		sum += w.cycles - w.mark
 	}
 	return sum
 }

@@ -187,3 +187,34 @@ func TestWindowAccountingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A ledger resolved up front (as cpusched.NewThread does) lists its entity
+// only once charged, and charging a known tag does not allocate.
+func TestLedger(t *testing.T) {
+	r := NewRegistry()
+	l := r.Ledger("vm")
+	if es := r.Entities(); len(es) != 0 {
+		t.Fatalf("uncharged ledger listed: %v", es)
+	}
+	if r.Ledger("vm") != l {
+		t.Fatal("Ledger resolved twice to different ledgers")
+	}
+	l.Charge("work", 10)
+	r.MarkWindow(time.Second)
+	l.Charge("io", 3)
+	if allocs := testing.AllocsPerRun(100, func() { l.Charge("work", 1) }); allocs != 0 {
+		t.Fatalf("Charge of a known tag: %v allocs", allocs)
+	}
+	if es := r.Entities(); len(es) != 1 || es[0] != "vm" {
+		t.Fatalf("Entities = %v", es)
+	}
+	if got := r.WindowCycles("vm", "work"); got != 101 {
+		t.Fatalf("WindowCycles(work) = %d, want 101", got)
+	}
+	if got, want := r.WindowEntityCycles("vm"), int64(104); got != want {
+		t.Fatalf("WindowEntityCycles = %d, want %d", got, want)
+	}
+	if got := r.Cycles("vm", "work"); got != 111 {
+		t.Fatalf("Cycles(work) = %d, want 111", got)
+	}
+}

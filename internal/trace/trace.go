@@ -15,9 +15,11 @@
 //   - Allocation-conscious. Spans and cycle charges live in small slices
 //     owned by the trace; charges merge in place instead of growing a map.
 //
-// The existing aggregate instrumentation (metrics.Registry cycle counters,
-// core.DaemonStats, the Figure 6–8 breakdowns) is derived from this one
-// stream by the reducers at the bottom of the package.
+// Daemon counters (core.DaemonStats) and per-stage latency percentiles are
+// reduced from this stream. Cycle charges are the per-request view of the
+// CPU: the scheduler charges each slice to the request's trace and, at the
+// same site, to metrics.Registry, which is the only ledger the Figure 6–8
+// breakdowns read.
 package trace
 
 import (

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"vread/internal/metrics"
 	"vread/internal/sim"
 )
 
@@ -88,35 +89,21 @@ type SLO struct {
 	Max           time.Duration
 }
 
-// SLOOf computes percentiles over the results carrying the given label
-// (nearest-rank on the sorted latencies).
+// SLOOf computes nearest-rank percentiles over the latencies of the results
+// carrying the given label.
 func SLOOf(results []OpResult, label string) SLO {
-	var lats []time.Duration
+	lats := metrics.NewLatencyRecorder()
 	for _, r := range results {
 		if r.Label == label {
-			lats = append(lats, r.Latency)
+			lats.Record(r.Latency)
 		}
-	}
-	if len(lats) == 0 {
-		return SLO{}
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rank := func(q float64) time.Duration {
-		i := int(q*float64(len(lats))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(lats) {
-			i = len(lats) - 1
-		}
-		return lats[i]
 	}
 	return SLO{
-		Count: len(lats),
-		P50:   rank(0.50),
-		P95:   rank(0.95),
-		P99:   rank(0.99),
-		Max:   lats[len(lats)-1],
+		Count: lats.Count(),
+		P50:   lats.Percentile(50),
+		P95:   lats.Percentile(95),
+		P99:   lats.Percentile(99),
+		Max:   lats.Max(),
 	}
 }
 

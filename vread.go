@@ -279,9 +279,6 @@ var (
 	TraceStages = trace.Stages
 	// WriteTraceStagesCSV writes the per-stage statistics as CSV.
 	WriteTraceStagesCSV = trace.WriteStagesCSV
-	// TraceBreakdownCycles sums trace cycle charges into entity → tag →
-	// cycles (the span-derived Figure 6–8 bars).
-	TraceBreakdownCycles = trace.BreakdownCycles
 )
 
 // ---------------------------------------------------------------------------
